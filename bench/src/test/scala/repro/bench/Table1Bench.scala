@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.experiments.{Experiments, Tables}
 
 /** Reproduces paper Table 1: n-gram row matching performance on all six
-  * datasets. Prints measured | paper rows; EXPERIMENTS.md records the diff.
+  * datasets. Prints measured | paper rows.
   */
 class Table1Bench extends SparkSpec {
 

@@ -16,8 +16,7 @@ class Table3Bench extends SparkSpec {
     for (r <- cells) {
       val s = r.pruning
       // Duplicate removal bites everywhere (paper: 45-74%; our generator
-      // caps the redundant candidate tail, so shares run lower — see
-      // EXPERIMENTS.md).
+      // caps the redundant candidate tail, so shares run lower).
       assert(s.duplicateRatio >= 0.04, s"${r.matching}/${r.dataset} dup=${s.duplicateRatio}")
       // The unit-level cache absorbs most applications (paper: 74-99%).
       assert(s.cacheHitRatio >= 0.5, s"${r.matching}/${r.dataset} hit=${s.cacheHitRatio}")

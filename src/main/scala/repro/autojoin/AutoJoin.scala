@@ -197,9 +197,8 @@ object AutoJoin {
     }
     val distinct = found.result().distinct
     val rows     = Coverage.rowStates(pairs)
-    val covered  = Coverage.coveredRows(distinct, rows)
-    val cover    = covered.filter(_._2.nonEmpty).map { case (t, c) =>
-      CoverSet.Chosen(t, c, c.length)
+    val cover    = distinct.map(t => (t, Coverage.covered(t, rows))).collect {
+      case (t, c) if c.nonEmpty => CoverSet.Chosen(t, c, c.length)
     }
     AutoJoinResult(
       distinct,

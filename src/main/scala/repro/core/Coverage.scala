@@ -63,7 +63,7 @@ object Coverage {
     (false, covered && sb.toString == row.tgt)
   }
 
-  /** Pass 1: coverage *counts* for every transformation (O(1) memory per
+  /** Coverage *counts* for every transformation (O(1) memory per
     * transformation), plus cache statistics.
     */
   def counts(
@@ -88,21 +88,9 @@ object Coverage {
     (cov, CacheStats(hits, misses))
   }
 
-  /** Pass 2: exact covered-row index sets for a *small* shortlist of
-    * transformations (the greedy set-cover input). Reuses the warmed row
-    * caches from pass 1.
+  /** The row indices that `t` covers, in order. Probes and extends the rows'
+    * non-covering caches like [[counts]], so after `counts` it is cheap.
     */
-  def coveredRows(
-      shortlist: IndexedSeq[Transformation],
-      rows: Array[RowState],
-  ): Vector[(Transformation, Array[Int])] =
-    shortlist.iterator.map { t =>
-      val covered = Array.newBuilder[Int]
-      var ri = 0
-      while (ri < rows.length) {
-        if (applyToRow(t, rows(ri))._2) covered += ri
-        ri += 1
-      }
-      (t, covered.result())
-    }.toVector
+  def covered(t: Transformation, rows: Array[RowState]): Array[Int] =
+    rows.indices.filter(ri => applyToRow(t, rows(ri))._2).toArray
 }

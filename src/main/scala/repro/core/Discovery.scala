@@ -13,14 +13,11 @@ object Discovery {
     * of the input rows (the paper uses 1% on Open data, 0 elsewhere);
     * `minSupportRows` is the absolute floor of §5.3 (a transformation needs
     * at least two supporting rows to be distinguishable from a literal).
-    * `shortlistSize` bounds the exact-cover second pass: only that many
-    * top-coverage transformations compete in the greedy cover.
     */
   final case class DiscoveryConfig(
       gen: GenConfig = GenConfig(),
       supportThreshold: Double = 0.0,
       minSupportRows: Int = 2,
-      shortlistSize: Int = 2000,
   ) extends Serializable
 
   /** The pruning counters reported in the paper's Table 3. */
@@ -77,9 +74,9 @@ object Discovery {
   }
 
   /** Shared tail of the local and distributed paths. `ranked` holds every
-    * non-constant transformation with coverage count >= 1 (any order):
-    * shortlist by count, recompute exact covered-row sets for the shortlist,
-    * pick the top transformation and the greedy cover.
+    * non-constant transformation with coverage count >= 1 (any order) and
+    * `rows` the input rows: picks the top transformation and the greedy cover
+    * over every candidate at or above the support floor.
     */
   private[repro] def finish(
       nRows: Int,
@@ -92,18 +89,12 @@ object Discovery {
   ): DiscoveryResult = {
     val supportFloor =
       math.max(cfg.minSupportRows, math.ceil(cfg.supportThreshold * nRows).toInt)
-    val ordered =
-      ranked.sortBy { case (t, c) => (-c, t.placeholderCount, t.render) }
-    val shortlistTs =
-      ordered.filter(_._2 >= supportFloor).take(cfg.shortlistSize).map(_._1)
-    val shortlist = Coverage.coveredRows(shortlistTs, rows)
-    val cover     = CoverSet.greedy(shortlist, nRows, supportFloor)
-    // The single best transformation is reported even when it falls below the
-    // cover-set support floor (it is still the max-coverage answer).
-    val top = ordered.headOption
+    val cover = CoverSet.greedy(ranked, nRows, supportFloor)(Coverage.covered(_, rows))
     DiscoveryResult(
       nRows = nRows,
-      top = top,
+      // The single best transformation is reported even when it falls below
+      // the cover-set support floor (it is still the max-coverage answer).
+      top = ranked.minOption(CoverSet.order),
       coverSet = cover,
       stats = stats,
       elapsedMs = (System.nanoTime() - t0) / 1000000L,

@@ -44,7 +44,10 @@ final case class Transformation(units: Vector[TransformationUnit]) extends Seria
     */
   def isConstant: Boolean = units.forall(_.isConstant)
 
-  def render: String = units.map(_.render).mkString("<", ", ", ">")
+  /** Injective rendering; cached because it is the final tie-break of
+    * [[CoverSet.order]].
+    */
+  lazy val render: String = units.map(_.render).mkString("<", ", ", ">")
 
   override def toString: String = render
 }

@@ -61,9 +61,27 @@ object TransformationGen {
         )
     }
 
+  /** The canonical transformation of a product element: adjacent literals
+    * merged into one (a placeholder's `Literal` choice can abut literal
+    * blocks), so one output function is one transformation.
+    */
+  private def canonical(units: Iterator[TransformationUnit]): Transformation = {
+    val out = Vector.newBuilder[TransformationUnit]
+    var run: Literal = null
+    for (u <- units) u match {
+      case l: Literal => run = if (run == null) l else Literal(run.str + l.str)
+      case _ =>
+        if (run != null) { out += run; run = null }
+        out += u
+    }
+    if (run != null) out += run
+    Transformation(out.result())
+  }
+
   /** Generates all candidate transformations for one (source, target) pair,
-    * feeding each into `sink` (typically a shared dedup hash set). Returns
-    * the generation counters for this row.
+    * in canonical form, feeding each into `sink` (typically a shared dedup
+    * hash set). Returns the generation counters for this row; `generated`
+    * counts product elements, before literal merging and deduplication.
     */
   def forRow(
       source: String,
@@ -87,8 +105,7 @@ object TransformationGen {
           var left = emit
           var done = false
           while (!done && left > 0) {
-            val units = Vector.tabulate(cands.length)(k => cands(k)(idx(k)))
-            sink(Transformation(units))
+            sink(canonical(Iterator.tabulate(cands.length)(k => cands(k)(idx(k)))))
             generated += 1
             left -= 1
             var k = cands.length - 1

@@ -23,8 +23,8 @@ sealed trait TransformationUnit extends Serializable with Product {
     */
   def isConstant: Boolean = false
 
-  /** Compact single-line rendering used in reports and for distributed
-    * deduplication keys.
+  /** Compact single-line rendering, used in reports and as the last
+    * tie-break of [[CoverSet.order]]; distinct units render differently.
     */
   def render: String
 }
@@ -59,14 +59,16 @@ object TransformationUnit {
     if (i >= 1 && i <= parts.length) Some(parts(i - 1)) else None
   }
 
-  /** Quotes a parameter character for `render` (delimiters may be quotes or
-    * backslashes themselves).
+  /** Backslash-escapes quotes and backslashes for `render`, so renderings
+    * stay injective (delimiters and literals may contain either).
     */
-  private[core] def q(c: Char): String = c match {
-    case '\'' => "'\\''"
-    case '\\' => "'\\\\'"
-    case c    => s"'$c'"
+  private[core] def esc(c: Char): String = c match {
+    case '\'' | '\\' => s"\\$c"
+    case c           => c.toString
   }
+
+  /** Quotes a parameter character for `render`. */
+  private[core] def q(c: Char): String = s"'${esc(c)}'"
 }
 
 import TransformationUnit._
@@ -110,5 +112,5 @@ final case class Literal(str: String) extends TransformationUnit {
   override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
   override def apply(input: String): Option[String] = Some(str)
   override def isConstant: Boolean                  = true
-  override def render: String                       = s"Literal('$str')"
+  override def render: String                       = s"Literal('${str.flatMap(esc)}')"
 }

@@ -10,8 +10,7 @@ import repro.matching.{MatchMetrics, RowMatcher}
 import repro.sparkjoin.SparkDiscovery
 
 /** Shared harness for the paper's evaluation tables (§6). Each bench/job
-  * calls into here; the benches print paper-vs-measured rows (EXPERIMENTS.md
-  * records the final numbers).
+  * calls into here; the benches print paper-vs-measured rows.
   */
 object Experiments {
 

@@ -3,7 +3,7 @@ package repro.experiments
 import repro.experiments.Experiments.DatasetRun
 
 /** Renders the reproduction tables with the paper's published numbers next
-  * to the measured ones (the diff lives in EXPERIMENTS.md).
+  * to the measured ones.
   */
 object Tables {
 

@@ -16,7 +16,8 @@ import repro.core.Discovery.{DiscoveryConfig, DiscoveryResult, PruningStats}
   *     [[Coverage.RowState]] array (the non-covering-unit caches) over the
   *     broadcast input rows, preserving the paper's unit-level pruning within
   *     every partition;
-  *   - the shortlist/cover tail is shared with the local path.
+  *   - the top/cover tail ([[repro.core.Discovery.finish]]) is shared with
+  *     the local path.
   *
   * Counters (generated, cache hits/misses) flow through Spark accumulators.
   */
@@ -59,32 +60,17 @@ object SparkDiscovery {
     // Stage 2: coverage counts, partitioned over transformations; every
     // partition keeps its own per-row non-covering-unit caches.
     val ranked = distinctRdd
-      .mapPartitions { ts =>
-        val rows = Coverage.rowStates(bcRows.value)
-        var hits = 0L
-        var misses = 0L
-        val out = ts.map { t =>
-          var cov = 0
-          var ri  = 0
-          while (ri < rows.length) {
-            val (skipped, covers) = Coverage.applyToRow(t, rows(ri))
-            if (skipped) hits += 1L else misses += 1L
-            if (covers) cov += 1
-            ri += 1
-          }
-          (t, cov)
-        }.toVector
-        hitsAcc.add(hits); missesAcc.add(misses)
-        out.iterator
+      .mapPartitions { it =>
+        val ts        = it.toVector
+        val (cov, cs) = Coverage.counts(ts, Coverage.rowStates(bcRows.value))
+        hitsAcc.add(cs.hits); missesAcc.add(cs.misses)
+        ts.iterator.zip(cov.iterator)
       }
       .filter { case (t, c) => c >= 1 && !t.isConstant }
-      // The driver only needs the shortlist: top transformations by coverage
-      // (ties: shorter, then lexicographic — same order as the local path).
-      .takeOrdered(cfg.shortlistSize)(
-        Ordering.by { case (t, c) => (-c, t.placeholderCount, t.render) }
-      )
+      .collect()
       .toVector
     distinctRdd.unpersist(blocking = false)
+    bcRows.destroy()
 
     val rows       = Coverage.rowStates(pairs)
     val cacheStats = Coverage.CacheStats(hitsAcc.value, missesAcc.value)

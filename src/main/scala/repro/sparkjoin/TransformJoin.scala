@@ -11,10 +11,10 @@ import repro.matching.RowMatcher
   * transformations and performs join on transformed columns").
   *
   * Pipeline: distributed n-gram row matching → sample of candidate pairs →
-  * transformation discovery (local or Spark, §4.1) → each discovered
-  * transformation is registered as a UDF over the source column and the
-  * per-transformation frames are unioned → a plain Catalyst equi-join on the
-  * transformed key against the target column.
+  * local transformation discovery (§4.1) → each discovered transformation is
+  * registered as a UDF over the source column and the per-transformation
+  * frames are unioned → a plain Catalyst equi-join on the transformed key
+  * against the target column.
   */
 object TransformJoin {
 
@@ -26,8 +26,6 @@ object TransformJoin {
         */
       samplePairs: Int = 3000,
       sampleSeed: Long = 13L,
-      /** Use the Spark-parallelized discovery instead of the local one. */
-      distributedDiscovery: Boolean = false,
   )
 
   final case class TransformJoinResult(
@@ -90,10 +88,8 @@ object TransformJoin {
       .toVector
 
     // 3. Discover the covering transformation set.
-    val disc =
-      if (cfg.distributedDiscovery) SparkDiscovery.discover(spark, sampled, cfg.discovery)
-      else Discovery.discover(sampled, cfg.discovery)
-    val ts = disc.transformations
+    val disc = Discovery.discover(sampled, cfg.discovery)
+    val ts   = disc.transformations
 
     // 4. Apply each transformation as a UDF and equi-join on the result.
     val joined =

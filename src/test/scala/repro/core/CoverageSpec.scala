@@ -64,11 +64,13 @@ class CoverageSpec extends SparkSpec {
     assert(applyToRow(t, rows(0)) == (true, false))
   }
 
-  test("coveredRows returns the exact row index sets") {
-    val rows = rowStates(pairs)
-    val res  = coveredRows(Vector(tInitial, tFirst), rows)
-    assert(res(0)._2.toSeq == Seq(0, 1, 2))
-    assert(res(1)._2.toSeq == Seq(3))
+  test("covered returns the exact row index set, on warm and cold caches") {
+    val warm = rowStates(pairs)
+    counts(Vector(tInitial, tFirst), warm)
+    for (rows <- Seq(warm, rowStates(pairs))) {
+      assert(covered(tInitial, rows).toSeq == Seq(0, 1, 2))
+      assert(covered(tFirst, rows).toSeq == Seq(3))
+    }
   }
 
   test("cache stats combine additively") {

@@ -10,15 +10,16 @@ class TransformationGenSpec extends SparkSpec {
   test("paper §4.1.4 example: Cartesian product over Substr and Literal candidates") {
     // Row ("Victor Robbie Kasumba", "Victor R. Kasumba"), skeleton
     // [(P 'Victor R'), (L '. '), (P 'Kasumba')], units limited to
-    // Substr + Literal: exactly the four paper transformations arise.
+    // Substr + Literal: the four paper transformations arise, each in
+    // canonical form (adjacent literals merged).
     val src = "Victor Robbie Kasumba"
     val cfg = GenConfig(units = UnitConfig(useSplit = false, useSplitSubstr = false))
     val buf = scala.collection.mutable.LinkedHashSet.empty[Transformation]
     forRow(src, "Victor R. Kasumba", cfg)(buf.add)
     val expected = Set(
-      Transformation(Literal("Victor R"), Literal(". "), Literal("Kasumba")),
-      Transformation(Literal("Victor R"), Literal(". "), Substr(14, 21)),
-      Transformation(Substr(0, 8), Literal(". "), Literal("Kasumba")),
+      Transformation(Literal("Victor R. Kasumba")),
+      Transformation(Literal("Victor R. "), Substr(14, 21)),
+      Transformation(Substr(0, 8), Literal(". Kasumba")),
       Transformation(Substr(0, 8), Literal(". "), Substr(14, 21)),
     )
     assert(expected.subsetOf(buf.toSet))
@@ -42,6 +43,37 @@ class TransformationGenSpec extends SparkSpec {
     val buf  = scala.collection.mutable.ArrayBuffer.empty[Transformation]
     val stat = forRow("ab cd", "ab-cd")(buf += _)
     assert(stat.generated == buf.size)
+  }
+
+  test("no emitted transformation has two adjacent Literals") {
+    val rows = Seq(
+      ("Victor Robbie Kasumba", "Victor R. Kasumba"),
+      ("bowling, michael", "m.bowling@ualberta.ca"),
+      ("www.example.org", "example.com"),
+      ("12:30:45", "12h30-150"),
+    )
+    for ((s, t) <- rows) {
+      var n = 0
+      forRow(s, t) { tr =>
+        n += 1
+        val adjacent = tr.units.zip(tr.units.drop(1)).exists {
+          case (_: Literal, _: Literal) => true
+          case _                        => false
+        }
+        assert(!adjacent, tr.render)
+      }
+      assert(n > 0)
+    }
+  }
+
+  test("literal splittings of one output are one candidate; generated still counts each") {
+    // "ab-cd": Literal("ab") for the placeholder plus the literal '-' and the
+    // demoted "ab-cd" skeleton all yield <Literal('ab-cd')> once merged.
+    val buf  = scala.collection.mutable.ArrayBuffer.empty[Transformation]
+    val stat = forRow("ab cd", "ab-cd")(buf += _)
+    assert(buf.count(_ == Transformation(Literal("ab-cd"))) > 1)
+    assert(stat.generated == buf.size)
+    assert(forPairs(Seq(("ab cd", "ab-cd")))._1.count(_.isConstant) == 1)
   }
 
   test("forPairs dedups across rows") {

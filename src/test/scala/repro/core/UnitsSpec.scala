@@ -161,4 +161,35 @@ class UnitsSpec extends SparkSpec with PropHelper {
     assert(Split(',', 1).render == "Split(',',1)")
     assert(Literal("ab").render == "Literal('ab')")
   }
+
+  test("Literal render escapes quotes and backslashes like delimiters") {
+    assert(Literal("it's").render == """Literal('it\'s')""")
+    assert(Literal("a\\b").render == """Literal('a\\b')""")
+    assert(Split('\'', 1).render == """Split('\'',1)""")
+    // Unescaped, both of these rendered <Literal('a'), Literal('b')>.
+    val spliced = Transformation(Literal("a'), Literal('b"))
+    val two     = Transformation(Literal("a"), Literal("b"))
+    assert(spliced.render != two.render)
+  }
+
+  test("Literal render is self-delimiting and decodes back to its string (property)") {
+    // No unescaped quote inside the quotes, so a transformation's rendering
+    // splits back into its units: rendering is injective.
+    val str = Gen.listOf(Gen.oneOf('a', '\'', '\\', ',', ' ', ')')).map(_.mkString)
+    forAllSampled(str, samples = 300) { s =>
+      val r = Literal(s).render
+      assert(r.startsWith("Literal('") && r.endsWith("')"))
+      val inner = r.substring("Literal('".length, r.length - 2)
+      val out   = new StringBuilder
+      var i     = 0
+      while (i < inner.length) {
+        inner(i) match {
+          case '\\' => out += inner(i + 1); i += 2
+          case '\''  => fail(s"unescaped quote in $r")
+          case c     => out += c; i += 1
+        }
+      }
+      assert(out.toString == s)
+    }
+  }
 }
