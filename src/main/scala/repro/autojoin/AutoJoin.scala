@@ -196,8 +196,8 @@ object AutoJoin {
       }
     }
     val distinct = found.result().distinct
-    val rows     = Coverage.rowStates(pairs)
-    val cover    = distinct.map(t => (t, Coverage.covered(t, rows))).collect {
+    val filter   = new Coverage.UnitFilter(Coverage.rowStates(pairs))
+    val cover    = distinct.map(t => (t, filter.covered(t))).collect {
       case (t, c) if c.nonEmpty => CoverSet.Chosen(t, c, c.length)
     }
     AutoJoinResult(

@@ -2,95 +2,83 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Coverage computation with the paper's eager unit-level filtering
-  * (§4.1.5).
+/** Coverage computation with the paper's unit-level filtering (§4.1.5).
   *
-  * For every row we maintain a hash set of units already proven unable to
-  * participate in any transformation covering that row (the unit is undefined
-  * on the source, or its output is not a substring of the target). Before a
-  * transformation is applied to a row, its units are probed against the
-  * row's set in O(1); a hit skips the application entirely. Because the
-  * candidate set is a Cartesian product of units, the same units recur across
-  * many transformations and the filter absorbs the bulk of the work.
+  * A transformation can cover a row only if each of its units is defined on
+  * the row's source and produces a substring of the row's target. A
+  * [[UnitFilter]] evaluates every unit once over all rows into a row bitset;
+  * a transformation's candidate rows are the AND of its units' bitsets, and
+  * only those rows are verified by applying the transformation. Because the
+  * candidate set is a Cartesian product of a few thousand units, the same
+  * units recur across many transformations and the filter absorbs the bulk
+  * of the work.
   */
 object Coverage {
 
-  /** Cache counters: a `hit` is a (transformation × row) application skipped
-    * by the non-covering-unit filter; a `miss` is a full application.
+  /** Filter counters: a `hit` is a (transformation × row) application the
+    * unit filter eliminates; a `miss` is a verified row.
     */
-  final case class CacheStats(hits: Long, misses: Long) {
-    def +(o: CacheStats): CacheStats = CacheStats(hits + o.hits, misses + o.misses)
-    def hitRatio: Double = if (hits + misses == 0) 0.0 else hits.toDouble / (hits + misses)
-  }
-  object CacheStats { val zero: CacheStats = CacheStats(0L, 0L) }
+  final case class CacheStats(hits: Long, misses: Long)
 
-  /** Per-input-row state reused across all transformations: the source and
-    * target strings plus the growing set of known non-covering units.
-    */
-  final class RowState(val src: String, val tgt: String) {
-    val nonCovering: mutable.HashSet[TransformationUnit] = mutable.HashSet.empty
-  }
+  /** One input row: the source string and the target it should map to. */
+  final case class RowState(src: String, tgt: String)
 
   def rowStates(pairs: Seq[(String, String)]): Array[RowState] =
-    pairs.iterator.map { case (s, t) => new RowState(s, t) }.toArray
+    pairs.iterator.map { case (s, t) => RowState(s, t) }.toArray
 
-  /** Applies `t` to one row, updating the row's non-covering cache. Returns
-    * (skippedByCache, covers).
+  /** The unit filter over one input. Each unit's row bitset is computed on
+    * first use and memoised; results depend only on the transformation and
+    * the rows, never on evaluation order.
     */
-  def applyToRow(t: Transformation, row: RowState): (Boolean, Boolean) = {
-    val units = t.units
-    var k = 0
-    while (k < units.length) {
-      if (row.nonCovering.contains(units(k))) return (true, false)
-      k += 1
+  final class UnitFilter(rows: Array[RowState]) {
+    private val unitRows = mutable.HashMap.empty[TransformationUnit, java.util.BitSet]
+    private val allRows  = new java.util.BitSet(rows.length)
+    allRows.set(0, rows.length)
+
+    /** Rows where `u` is defined and its output occurs in the target. */
+    private def rowsOf(u: TransformationUnit): java.util.BitSet =
+      unitRows.getOrElseUpdate(u, {
+        val bits = new java.util.BitSet(rows.length)
+        var ri   = 0
+        while (ri < rows.length) {
+          if (u(rows(ri).src).exists(rows(ri).tgt.contains)) bits.set(ri)
+          ri += 1
+        }
+        bits
+      })
+
+    /** Rows that survive the AND of `t`'s unit bitsets; every row for a
+      * transformation with no units.
+      */
+    private[Coverage] def candidates(t: Transformation): java.util.BitSet = {
+      val bits = allRows.clone().asInstanceOf[java.util.BitSet]
+      val it   = t.units.iterator
+      while (it.hasNext && !bits.isEmpty) bits.and(rowsOf(it.next()))
+      bits
     }
-    // Full application with eager per-unit filtering: any unit whose output
-    // is not a substring of the target is recorded for future probes.
-    var covered = true
-    val sb      = new StringBuilder
-    k = 0
-    while (k < units.length) {
-      units(k)(row.src) match {
-        case Some(out) =>
-          if (covered) sb.append(out)
-          if (!row.tgt.contains(out)) { row.nonCovering += units(k); covered = false }
-        case None =>
-          row.nonCovering += units(k)
-          covered = false
-      }
-      k += 1
-    }
-    (false, covered && sb.toString == row.tgt)
+
+    /** The row indices that `t` covers, in order. */
+    def covered(t: Transformation): Array[Int] = verify(t, candidates(t))
+
+    /** The rows among `candidates` that `t` covers, in order. */
+    private[Coverage] def verify(t: Transformation, candidates: java.util.BitSet): Array[Int] =
+      candidates.stream().filter(ri => t.covers(rows(ri).src, rows(ri).tgt)).toArray
   }
 
   /** Coverage *counts* for every transformation (O(1) memory per
-    * transformation), plus cache statistics.
+    * transformation), plus filter statistics.
     */
   def counts(
       transformations: IndexedSeq[Transformation],
       rows: Array[RowState],
   ): (Array[Int], CacheStats) = {
-    val cov    = new Array[Int](transformations.length)
-    var hits   = 0L
+    val filter = new UnitFilter(rows)
     var misses = 0L
-    var ti     = 0
-    while (ti < transformations.length) {
-      val t = transformations(ti)
-      var ri = 0
-      while (ri < rows.length) {
-        val (skipped, covers) = applyToRow(t, rows(ri))
-        if (skipped) hits += 1L else misses += 1L
-        if (covers) cov(ti) += 1
-        ri += 1
-      }
-      ti += 1
-    }
-    (cov, CacheStats(hits, misses))
+    val cov = transformations.iterator.map { t =>
+      val bits = filter.candidates(t)
+      misses += bits.cardinality()
+      filter.verify(t, bits).length
+    }.toArray
+    (cov, CacheStats(transformations.length.toLong * rows.length - misses, misses))
   }
-
-  /** The row indices that `t` covers, in order. Probes and extends the rows'
-    * non-covering caches like [[counts]], so after `counts` it is cheap.
-    */
-  def covered(t: Transformation, rows: Array[RowState]): Array[Int] =
-    rows.indices.filter(ri => applyToRow(t, rows(ri))._2).toArray
 }

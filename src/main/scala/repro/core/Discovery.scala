@@ -4,7 +4,7 @@ import repro.core.TransformationGen.GenConfig
 
 /** End-to-end transformation discovery (the paper's core algorithm, §4.1):
   * placeholders → skeletons → candidate generation (with hash-set dedup) →
-  * coverage (with the non-covering-unit cache) → max-coverage transformation
+  * coverage (with the non-covering-unit filter) → max-coverage transformation
   * and greedy minimal cover set.
   */
 object Discovery {
@@ -76,7 +76,8 @@ object Discovery {
   /** Shared tail of the local and distributed paths. `ranked` holds every
     * non-constant transformation with coverage count >= 1 (any order) and
     * `rows` the input rows: picks the top transformation and the greedy cover
-    * over every candidate at or above the support floor.
+    * over every candidate at or above the support floor. `cacheStats` is
+    * unused; the counters arrive in `stats`.
     */
   private[repro] def finish(
       nRows: Int,
@@ -89,7 +90,7 @@ object Discovery {
   ): DiscoveryResult = {
     val supportFloor =
       math.max(cfg.minSupportRows, math.ceil(cfg.supportThreshold * nRows).toInt)
-    val cover = CoverSet.greedy(ranked, nRows, supportFloor)(Coverage.covered(_, rows))
+    val cover = CoverSet.greedy(ranked, nRows, supportFloor)(new Coverage.UnitFilter(rows).covered)
     DiscoveryResult(
       nRows = nRows,
       // The single best transformation is reported even when it falls below

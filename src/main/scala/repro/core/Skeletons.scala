@@ -41,11 +41,12 @@ object Skeletons {
     }.mkString("<", ", ", ">")
   }
 
-  /** Characters treated as common separators when tokenizing placeholders.
-    * The paper reports space plus punctuation resolves every real-world case
-    * it saw (§4.1.3).
+  /** Characters treated as common separators when tokenizing placeholders:
+    * whitespace and punctuation, i.e. everything but letters and digits. The
+    * paper reports space plus punctuation resolves every real-world case it
+    * saw (§4.1.3).
     */
-  def isSeparator(c: Char): Boolean = c == ' ' || (!c.isLetterOrDigit && !c.isWhitespace) || c.isWhitespace
+  def isSeparator(c: Char): Boolean = !c.isLetterOrDigit
 
   /** The greedy maximal segmentation: walk the target left to right, emit the
     * maximal placeholder starting at the cursor when one exists, otherwise a

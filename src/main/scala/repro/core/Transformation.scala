@@ -9,9 +9,9 @@ package repro.core
   */
 final case class Transformation(units: Vector[TransformationUnit]) extends Serializable {
 
-  // Hash-set probes dominate the coverage stage (§4.1.5's eager filter runs
-  // per transformation × row); caching the structural hash once at
-  // construction keeps each probe O(1) without a recursive re-hash.
+  // Duplicate removal (§4.1.5) probes a hash set once per generated
+  // transformation; caching the structural hash once at construction keeps
+  // each probe O(1) without a recursive re-hash.
   override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
 
   /** Applies every unit to `input` and concatenates; `None` if any unit is

@@ -165,7 +165,7 @@ object Experiments {
     */
   def mean(runs: Seq[DatasetRun], name: String): DatasetRun = {
     require(runs.nonEmpty)
-    def avg(f: DatasetRun => Double)  = runs.map(f).sum / runs.size
+    def avg(f: DatasetRun => Double)  = average(runs)(f)
     def avgM(f: DatasetRun => MethodOut): MethodOut = MethodOut(
       avg(f(_).topCov), avg(f(_).setCov), avg(f(_).nTrans), avg(f(_).timeSec),
       runs.exists(f(_).budgetExceeded),
@@ -177,11 +177,7 @@ object Experiments {
       matching = runs.head.matching,
       nRows = avg(_.nRows),
       avgLen = avg(_.avgLen),
-      prf = MatchMetrics.PRF(
-        avg(_.prf.precision), avg(_.prf.recall), avg(_.prf.f1),
-        math.round(avg(_.prf.predicted.toDouble)).toInt,
-        math.round(avg(_.prf.gold.toDouble)).toInt,
-      ),
+      prf = meanPRF(runs.map(_.prf)),
       nInputPairs = math.round(avg(_.nInputPairs.toDouble)).toInt,
       ours = avgM(_.ours),
       autojoin = aj,
@@ -210,13 +206,17 @@ object Experiments {
   }
 
   private def meanMatch(rows: Seq[MatchRow], name: String): MatchRow = {
-    def avg(f: MatchRow => Double) = rows.map(f).sum / rows.size
-    MatchRow(
-      name, avg(_.nRows), avg(_.avgLen), avg(_.nPairs),
-      MatchMetrics.PRF(avg(_.prf.precision), avg(_.prf.recall), avg(_.prf.f1),
-        math.round(avg(_.prf.predicted.toDouble)).toInt,
-        math.round(avg(_.prf.gold.toDouble)).toInt),
-    )
+    def avg(f: MatchRow => Double) = average(rows)(f)
+    MatchRow(name, avg(_.nRows), avg(_.avgLen), avg(_.nPairs), meanPRF(rows.map(_.prf)))
+  }
+
+  private def average[A](xs: Seq[A])(f: A => Double): Double = xs.map(f).sum / xs.size
+
+  /** Field-wise mean of matching scores; the pair counts are rounded. */
+  private def meanPRF(prfs: Seq[MatchMetrics.PRF]): MatchMetrics.PRF = {
+    def avg(f: MatchMetrics.PRF => Double) = average(prfs)(f)
+    MatchMetrics.PRF(avg(_.precision), avg(_.recall), avg(_.f1),
+      math.round(avg(_.predicted.toDouble)).toInt, math.round(avg(_.gold.toDouble)).toInt)
   }
 
   /** Table 1 rows: n-gram row matching quality on all six datasets. */

@@ -12,10 +12,10 @@ import repro.core.Discovery.{DiscoveryConfig, DiscoveryResult, PruningStats}
   *   - *generation* fans out over row pairs (`mapPartitions`), with a
   *     per-partition hash set giving partial duplicate removal before the
   *     shuffle; global dedup is an RDD `distinct` on the structural key;
-  *   - *coverage* fans out over transformations: each partition holds its own
-  *     [[Coverage.RowState]] array (the non-covering-unit caches) over the
-  *     broadcast input rows, preserving the paper's unit-level pruning within
-  *     every partition;
+  *   - *coverage* fans out over transformations: each partition runs
+  *     [[Coverage.counts]] over the broadcast input rows with its own unit
+  *     filter; a filter's verdict on a (transformation, row) depends on
+  *     nothing else, so the counters do not depend on the partitioning;
   *   - the top/cover tail ([[repro.core.Discovery.finish]]) is shared with
   *     the local path.
   *
@@ -57,8 +57,7 @@ object SparkDiscovery {
       .cache()
     val toTry = distinctRdd.count()
 
-    // Stage 2: coverage counts, partitioned over transformations; every
-    // partition keeps its own per-row non-covering-unit caches.
+    // Stage 2: coverage counts, partitioned over transformations.
     val ranked = distinctRdd
       .mapPartitions { it =>
         val ts        = it.toVector

@@ -76,13 +76,15 @@ object TransformJoin {
     val pairsDf = SparkRowMatcher.matchPairs(src, tgt, cfg = cfg.matching).cache()
     val nPairs  = pairsDf.count()
 
-    // 2. Sample pairs and materialize their strings for discovery.
+    // 2. Sample pairs and materialize their strings for discovery. The order
+    // is a seeded hash of the pair's ids (ties broken by the ids), so the
+    // sample does not depend on partitioning.
     val sampled = pairsDf
       .join(src, "src_id")
       .join(tgt, "tgt_id")
-      .select(col("src_val"), col("tgt_val"))
-      .orderBy(rand(cfg.sampleSeed))
+      .orderBy(xxhash64(col("src_id"), col("tgt_id"), lit(cfg.sampleSeed)), col("src_id"), col("tgt_id"))
       .limit(cfg.samplePairs)
+      .select(col("src_val"), col("tgt_val"))
       .collect()
       .map(r => (r.getString(0), r.getString(1)))
       .toVector

@@ -1,9 +1,10 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropHelper, SparkSpec}
 
-/** Coverage computation and the non-covering-unit cache (paper §4.1.5). */
-class CoverageSpec extends SparkSpec {
+/** Coverage computation and the non-covering-unit filter (paper §4.1.5). */
+class CoverageSpec extends SparkSpec with PropHelper {
   import Coverage._
 
   private val pairs = Seq(
@@ -23,67 +24,65 @@ class CoverageSpec extends SparkSpec {
     assert(cov(1) == 1) // only "mario"
   }
 
-  test("cache records non-covering units and subsequent probes hit") {
+  test("a non-covering unit eliminates every row on first use") {
     val rows = rowStates(pairs)
-    // Literal("zzz") is not a substring of any target: first application is a
-    // miss that poisons the cache, the second is a pure hit.
-    val bad = Transformation(Literal("zzz"), Split(',', 1))
-    val (_, s1) = counts(Vector(bad), rows)
-    assert(s1.hits == 0 && s1.misses == pairs.size)
-    val bad2 = Transformation(Literal("zzz"), Split(',', 2))
-    val (_, s2) = counts(Vector(bad2), rows)
-    assert(s2.hits == pairs.size && s2.misses == 0)
+    // Literal("zzz") is not a substring of any target: the filter drops every
+    // row without applying the transformation, already on the first probe.
+    for (i <- Seq(1, 2)) {
+      val (cov, stats) = counts(Vector(Transformation(Literal("zzz"), Split(',', i))), rows)
+      assert(cov.toSeq == Seq(0) && stats == CacheStats(hits = pairs.size, misses = 0))
+    }
   }
 
   test("cache never changes coverage results (consistency)") {
-    val (distinct, _) = TransformationGen.forPairs(pairs)
-    val withCache = {
+    val str = Gen.choose(0, 7).flatMap(n => Gen.listOfN(n, Gen.oneOf('a', 'b', ' ', ',')).map(_.mkString))
+    val input = for {
+      n     <- Gen.choose(1, 5)
+      pairs <- Gen.listOfN(n, Gen.zip(str, str))
+      seed  <- Gen.long
+    } yield (pairs, seed)
+    forAllSampled(input, samples = 60) { case (pairs, seed) =>
       val rows = rowStates(pairs)
-      counts(distinct, rows)._1.toVector
+      val ts = TransformationGen.forPairs(pairs)._1 ++ Vector(
+        Transformation(Vector.empty),
+        Transformation(Split(',', 5)),
+        Transformation(Split(' ', 1), Literal("-"), Split(',', 9)),
+      )
+      val naive = ts.map(t => rows.indices.filter(ri => t.covers(rows(ri).src, rows(ri).tgt)))
+      val (cov, stats) = counts(ts, rows)
+      assert(cov.toSeq == naive.map(_.size))
+      assert(stats.hits + stats.misses == ts.size.toLong * rows.length)
+      // Neither the counts, the counters nor the covered rows depend on the
+      // order the transformations are evaluated in.
+      val perm              = new scala.util.Random(seed).shuffle(ts.indices.toVector)
+      val (permCov, permSt) = counts(perm.map(ts), rows)
+      assert(perm.map(cov(_)) == permCov.toSeq && permSt == stats)
+      val filter = new UnitFilter(rows)
+      for (i <- perm) assert(filter.covered(ts(i)).toSeq == naive(i), ts(i))
     }
-    val withoutCache = distinct.map(t => pairs.count { case (s, g) => t.covers(s, g) }).toVector
-    assert(withCache == withoutCache)
   }
 
   test("a unit whose output is a substring of the target is not cached") {
+    // Substr(0,2)="ab" is in the target, so the row survives the filter and is
+    // verified, but the transformation does not cover it.
     val rows = rowStates(Seq(("abcd", "ab-cd")))
-    // Substr(0,2)="ab" is in the target but the transformation fails overall.
-    val t = Transformation(Substr(0, 2))
-    val (skipped, covers) = applyToRow(t, rows(0))
-    assert(!skipped && !covers)
-    // Re-applying must not be a cache hit: the unit could still be part of a
-    // covering transformation.
-    val again = applyToRow(t, rows(0))
-    assert(!again._1)
+    val (cov, stats) = counts(Vector(Transformation(Substr(0, 2))), rows)
+    assert(cov.toSeq == Seq(0) && stats == CacheStats(hits = 0, misses = 1))
   }
 
   test("an undefined unit is cached as non-covering") {
     val rows = rowStates(Seq(("abcd", "ab")))
-    val t = Transformation(Split(',', 5))
-    assert(applyToRow(t, rows(0)) == (false, false))
-    assert(applyToRow(t, rows(0)) == (true, false))
+    val (cov, stats) = counts(Vector(Transformation(Split(',', 5))), rows)
+    assert(cov.toSeq == Seq(0) && stats == CacheStats(hits = 1, misses = 0))
   }
 
   test("covered returns the exact row index set, on warm and cold caches") {
-    val warm = rowStates(pairs)
-    counts(Vector(tInitial, tFirst), warm)
-    for (rows <- Seq(warm, rowStates(pairs))) {
-      assert(covered(tInitial, rows).toSeq == Seq(0, 1, 2))
-      assert(covered(tFirst, rows).toSeq == Seq(3))
+    val rows = rowStates(pairs)
+    val warm = new UnitFilter(rows)
+    TransformationGen.forPairs(pairs)._1.foreach(warm.covered)
+    for (filter <- Seq(warm, new UnitFilter(rows))) {
+      assert(filter.covered(tInitial).toSeq == Seq(0, 1, 2))
+      assert(filter.covered(tFirst).toSeq == Seq(3))
     }
-  }
-
-  test("cache stats combine additively") {
-    assert(CacheStats(1, 2) + CacheStats(3, 4) == CacheStats(4, 6))
-    assert(CacheStats(3, 1).hitRatio == 0.75)
-    assert(CacheStats.zero.hitRatio == 0.0)
-  }
-
-  test("covering transformation leaves no poison in the cache for its units") {
-    val rows = rowStates(Seq(("bowling, michael", "m bowling")))
-    assert(applyToRow(tInitial, rows(0)) == (false, true))
-    // All units covered; none should be cached as non-covering.
-    assert(rows(0).nonCovering.isEmpty)
-    assert(applyToRow(tInitial, rows(0)) == (false, true))
   }
 }

@@ -73,6 +73,14 @@ class SkeletonsSpec extends SparkSpec {
     assert(!isSeparator('a') && !isSeparator('Z') && !isSeparator('6'))
   }
 
+  test("separator classification is 'not a letter or digit', whitespace included, on every Char") {
+    // The classification written out as space, punctuation and whitespace.
+    def spelledOut(c: Char) = c == ' ' || (!c.isLetterOrDigit && !c.isWhitespace) || c.isWhitespace
+    val differ = (Char.MinValue to Char.MaxValue).filter(c => isSeparator(c) != spelledOut(c))
+    assert(differ.isEmpty, differ.take(5).map(_.toInt))
+    assert(isSeparator('\t') && isSeparator(' ') && !isSeparator('é'))
+  }
+
   test("skeleton list is duplicate-free") {
     val sks = all("victor robbie kasumba", "victor r. kasumba")
     assert(sks.distinct.size == sks.size)

@@ -94,4 +94,26 @@ class TransformJoinSpec extends SparkSpec {
     assert(res.transformations.isEmpty)
     assert(res.joined.count() == 0)
   }
+
+  test("the discovery sample does not depend on the shuffle partition count") {
+    // Adaptive execution would coalesce the small shuffles into one
+    // partition; it is switched off so each run really has n partitions.
+    val keys = Seq("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+    val prev = keys.map(spark.conf.get)
+    val cfg  = joinCfg.copy(samplePairs = 30)
+    val runs =
+      try {
+        spark.conf.set(keys(1), false)
+        Seq(1, 8, 64).map { n =>
+          spark.conf.set(keys(0), n.toLong)
+          TransformJoin.join(spark, ds.sourceDf(spark), ds.targetDf(spark), cfg)
+        }
+      } finally keys.zip(prev).foreach { case (k, v) => spark.conf.set(k, v) }
+    assert(runs.head.matchedPairs > cfg.samplePairs, "the sample must be a strict subset")
+    for (r <- runs.tail) {
+      assert(r.discovery.nRows == cfg.samplePairs)
+      assert(r.transformations == runs.head.transformations)
+      assert(r.discovery.stats == runs.head.discovery.stats)
+    }
+  }
 }
