@@ -1,7 +1,5 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
-import repro.SparkSpec
 import repro.experiments.Experiments
 import repro.experiments.Experiments.{DatasetRun, GoldenMatching, NGramMatching, Scale}
 
@@ -12,12 +10,10 @@ import repro.experiments.Experiments.{DatasetRun, GoldenMatching, NGramMatching,
 object BenchRuns {
   lazy val scale: Scale = Scale()
 
-  private def spark: SparkSession = SparkSpec.shared
-
   lazy val cells: Vector[DatasetRun] = {
     val t0 = System.nanoTime()
     val out = Vector(NGramMatching, GoldenMatching)
-      .flatMap(m => Experiments.allCells(spark, scale, m))
+      .flatMap(m => Experiments.allCells(scale, m))
     Console.err.println(f"[BenchRuns] all cells computed in ${(System.nanoTime() - t0) / 1e9}%.1f s")
     out
   }

@@ -1,12 +1,12 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.experiments.{Experiments, Tables}
 
 /** Reproduces paper Table 1: n-gram row matching performance on all six
   * datasets. Prints measured | paper rows.
   */
-class Table1Bench extends SparkSpec {
+class Table1Bench extends AnyFunSuite {
 
   test("Table 1: row matching performance") {
     val rows = Experiments.table1(BenchRuns.scale)

@@ -1,12 +1,12 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.experiments.Tables
 
 /** Reproduces paper Table 2: transformation coverage and runtime of our
   * approach vs the Auto-Join baseline, under n-gram and golden matching.
   */
-class Table2Bench extends SparkSpec {
+class Table2Bench extends AnyFunSuite {
 
   test("Table 2: coverage and runtime, ours vs Auto-Join") {
     val cells = BenchRuns.cells

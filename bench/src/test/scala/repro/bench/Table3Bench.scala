@@ -1,13 +1,13 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.experiments.Tables
 
 /** Reproduces paper Table 3: pruning effectiveness — generated vs to-try
   * transformations (duplicate removal) and the non-covering-unit cache hit
   * ratio.
   */
-class Table3Bench extends SparkSpec {
+class Table3Bench extends AnyFunSuite {
 
   test("Table 3: pruning performance") {
     val cells = BenchRuns.cells

@@ -1,10 +1,9 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.experiments.{Experiments, Tables}
 
-/** spark-submit entrypoint reproducing Table 2 (coverage & runtime, ours vs
-  * Auto-Join, under n-gram and golden row matching).
+/** Entrypoint reproducing Table 2 (coverage & runtime, ours vs Auto-Join,
+  * under n-gram and golden row matching). Runs locally; no Spark.
   *
   * Usage: spark-submit --class repro.jobs.Table2Job repro.jar
   * Env knobs: REPRO_SYNTH_SEEDS, REPRO_OPEN_ROWS, REPRO_OPEN_SAMPLE,
@@ -12,16 +11,9 @@ import repro.experiments.{Experiments, Tables}
   */
 object Table2Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("table2")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer")
-      .getOrCreate()
     val scale = Experiments.Scale()
     val cells = Vector(Experiments.NGramMatching, Experiments.GoldenMatching)
-      .flatMap(m => Experiments.allCells(spark, scale, m))
+      .flatMap(m => Experiments.allCells(scale, m))
     println(Tables.renderTable2(cells))
-    spark.stop()
   }
 }

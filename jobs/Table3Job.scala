@@ -1,26 +1,18 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.experiments.{Experiments, Tables}
 
-/** spark-submit entrypoint reproducing Table 3 (pruning performance:
-  * generated vs to-try transformations, duplicate ratio, cache hit ratio).
+/** Entrypoint reproducing Table 3 (pruning performance: generated vs to-try
+  * transformations, duplicate ratio, cache hit ratio). Runs locally; no Spark.
   *
   * Usage: spark-submit --class repro.jobs.Table3Job repro.jar
   * Auto-Join is skipped — Table 3 only measures our pruning counters.
   */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("table3")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer")
-      .getOrCreate()
     val scale = Experiments.Scale(runAutoJoin = false)
     val cells = Vector(Experiments.NGramMatching, Experiments.GoldenMatching)
-      .flatMap(m => Experiments.allCells(spark, scale, m))
+      .flatMap(m => Experiments.allCells(scale, m))
     println(Tables.renderTable3(cells))
-    spark.stop()
   }
 }

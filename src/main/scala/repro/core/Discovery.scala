@@ -54,11 +54,22 @@ object Discovery {
   def discover(
       pairs: Seq[(String, String)],
       cfg: DiscoveryConfig = DiscoveryConfig(),
+  ): DiscoveryResult = discover(pairs, cfg, Coverage.counts)
+
+  /** Discovery with the coverage-count step supplied by the caller: `count`
+    * must return, for every distinct transformation in order, the number of
+    * rows it covers, plus the filter counters ([[Coverage.counts]] locally;
+    * the same per partition on Spark).
+    */
+  private[repro] def discover(
+      pairs: Seq[(String, String)],
+      cfg: DiscoveryConfig,
+      count: (IndexedSeq[Transformation], Array[Coverage.RowState]) => (Array[Int], Coverage.CacheStats),
   ): DiscoveryResult = {
     val t0 = System.nanoTime()
     val (distinct, genStats) = TransformationGen.forPairs(pairs, cfg.gen)
     val rows                 = Coverage.rowStates(pairs)
-    val (counts, cacheStats) = Coverage.counts(distinct, rows)
+    val (counts, cacheStats) = count(distinct, rows)
     // Pure-literal transformations are degenerate (they cover a row only by
     // matching its exact target, §5.3) and are excluded from both the top
     // answer and the cover set.
@@ -73,11 +84,11 @@ object Discovery {
     )
   }
 
-  /** Shared tail of the local and distributed paths. `ranked` holds every
-    * non-constant transformation with coverage count >= 1 (any order) and
-    * `rows` the input rows: picks the top transformation and the greedy cover
-    * over every candidate at or above the support floor. `cacheStats` is
-    * unused; the counters arrive in `stats`.
+  /** The tail of [[discover]]. `ranked` holds every non-constant
+    * transformation with coverage count >= 1 (any order) and `rows` the input
+    * rows: picks the top transformation and the greedy cover over every
+    * candidate at or above the support floor. `cacheStats` is unused; the
+    * counters arrive in `stats`.
     */
   private[repro] def finish(
       nRows: Int,

@@ -1,13 +1,11 @@
 package repro.experiments
 
-import org.apache.spark.sql.SparkSession
 import repro.autojoin.AutoJoin
 import repro.autojoin.AutoJoin.AutoJoinConfig
-import repro.core.{Discovery, Transformation}
+import repro.core.{Coverage, CoverSet, Discovery, Transformation}
 import repro.core.Discovery.DiscoveryConfig
 import repro.data._
 import repro.matching.{MatchMetrics, RowMatcher}
-import repro.sparkjoin.SparkDiscovery
 
 /** Shared harness for the paper's evaluation tables (§6). Each bench/job
   * calls into here; the benches print paper-vs-measured rows.
@@ -107,20 +105,18 @@ object Experiments {
   def goldCoverage(ds: JoinDataset, ts: Seq[Transformation]): (Double, Double) = {
     val gold = ds.goldPairStrings
     if (gold.isEmpty || ts.isEmpty) return (0.0, 0.0)
-    val perT   = ts.map(t => gold.count { case (s, g) => t.covers(s, g) })
-    val top    = perT.max.toDouble / gold.size
-    val anyCov = gold.count { case (s, g) => ts.exists(_.covers(s, g)) }
-    (top, anyCov.toDouble / gold.size)
+    val filter = new Coverage.UnitFilter(Coverage.rowStates(gold))
+    val perT   = ts.map { t => val c = filter.covered(t); CoverSet.Chosen(t, c, c.length) }
+    val top    = perT.map(_.covered.length).max
+    (top.toDouble / gold.size, CoverSet.unionCoverage(perT, gold.size).toDouble / gold.size)
   }
 
   // ---- One experiment cell -------------------------------------------------
 
   /** Runs our discovery (and optionally Auto-Join) on one dataset under one
-    * matching mode. Discovery is Spark-parallelized once the input pair count
-    * makes the candidate space large.
+    * matching mode.
     */
   def runDataset(
-      spark: SparkSession,
       ds: JoinDataset,
       mode: Matching,
       scale: Scale,
@@ -131,9 +127,7 @@ object Experiments {
     val (pairs, prf, nMatched) = matched(ds, mode, sampleCap)
     val cfg = DiscoveryConfig(gen = gen, supportThreshold = supportThreshold)
 
-    val disc =
-      if (pairs.size >= 100) SparkDiscovery.discover(spark, pairs, cfg)
-      else Discovery.discover(pairs, cfg)
+    val disc = Discovery.discover(pairs, cfg)
     val oursTs            = disc.transformations
     val (oursTop, oursSet) = goldCoverage(ds, if (oursTs.nonEmpty) oursTs else disc.top.map(_._1).toVector)
 
@@ -237,18 +231,14 @@ object Experiments {
     * 31 individual runs to be averaged, synth configurations as `synthSeeds`
     * runs each.
     */
-  def allCells(
-      spark: SparkSession,
-      scale: Scale,
-      mode: Matching,
-  ): Vector[DatasetRun] = {
-    val web = webTables().map(runDataset(spark, _, mode, scale))
+  def allCells(scale: Scale, mode: Matching): Vector[DatasetRun] = {
+    val web = webTables().map(runDataset(_, mode, scale))
     // Open data: false matches flood the candidate space (the paper's own
     // run on this dataset took 23 386 s). The sampled noisy pairs run with
     // tight generation caps, matching the paper's observed ~1.2k generated
     // per row on real addresses.
     val open = runDataset(
-      spark, openData(scale), mode, scale,
+      openData(scale), mode, scale,
       supportThreshold = 0.01, sampleCap = scale.openSamplePairs,
       gen = repro.core.TransformationGen.GenConfig(
         maxCandidatesPerPlaceholder = 16, maxTransPerRow = 4000),
@@ -258,7 +248,7 @@ object Experiments {
       long <- Vector(false, true)
     } yield {
       val runs = synthTables(rows, long, scale.synthSeeds)
-        .map(runDataset(spark, _, mode, scale))
+        .map(runDataset(_, mode, scale))
       mean(runs, if (long) s"Synth-${rows}L" else s"Synth-$rows")
     }
     Vector(mean(web, "Benchmark"), open) ++ synths

@@ -1,12 +1,13 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropHelper, SparkSpec}
 import Discovery._
 
 /** End-to-end local discovery (paper §4.1): the Figure-1 scenarios and the
   * optimality/statistics behaviour.
   */
-class DiscoverySpec extends SparkSpec {
+class DiscoverySpec extends SparkSpec with PropHelper {
 
   private val nameToAbbrev = Seq(
     ("rafiei, davood", "d rafiei"),
@@ -131,5 +132,58 @@ class DiscoverySpec extends SparkSpec {
     val res   = discover(train)
     val holdout = ("walker, james", "j walker")
     assert(res.transformations.exists(_.covers(holdout._1, holdout._2)))
+  }
+
+  test("results do not depend on the order of the input rows (property)") {
+    val input = for {
+      pairs <- DiscoverySpec.smallInputs
+      seed  <- Gen.long
+    } yield (pairs, seed)
+    forAllSampled(input, samples = 30) { case (pairs, seed) =>
+      val perm = new scala.util.Random(seed).shuffle(pairs.indices.toVector)
+      val a    = discover(pairs)
+      val b    = discover(perm.map(pairs))
+      assert(b.transformations == a.transformations)
+      assert(b.top == a.top)
+      assert(b.stats == a.stats)
+      // Covered rows name the same pairs, as multisets (inputs may repeat pairs).
+      def coveredPairs(r: DiscoveryResult, rows: Int => (String, String)) =
+        r.coverSet.map(_.covered.toVector.map(rows).sorted)
+      assert(coveredPairs(b, i => pairs(perm(i))) == coveredPairs(a, pairs))
+    }
+  }
+
+  test("every chosen rule covers exactly the rows it claims; gains sum to the union (property)") {
+    forAllSampled(DiscoverySpec.smallInputs, samples = 30) { pairs =>
+      // The default support floor of two rows makes the greedy take rules
+      // whose rows are partly covered already.
+      val res = discover(pairs)
+      def recount(t: Transformation) = pairs.indices.filter(i => t.covers(pairs(i)._1, pairs(i)._2))
+      for (c <- res.coverSet) assert(c.covered.toSeq == recount(c.t), c.t)
+      for ((t, n) <- res.top) assert(n == recount(t).size, t)
+      assert(res.coverSet.map(_.marginalGain).sum == CoverSet.unionCoverage(res.coverSet, pairs.size))
+    }
+  }
+}
+
+object DiscoverySpec {
+
+  /** Small inputs mixing a few reformatting rules over random words, with
+    * some unrelated targets and repeated pairs, so covers have several rules,
+    * ties, rules that overlap (`Split(sep, 1)` and `Substr(0, 2)` on a
+    * two-letter first word) and uncovered rows.
+    */
+  val smallInputs: Gen[Vector[(String, String)]] = {
+    val word = Gen.choose(1, 4).flatMap(n => Gen.listOfN(n, Gen.oneOf('a', 'b', 'c', '1')).map(_.mkString))
+    val row = for {
+      w1   <- word
+      w2   <- word
+      sep  <- Gen.oneOf(',', ' ')
+      junk <- word
+      tgt  <- Gen.oneOf(w1, w1.take(2), w2, s"$w2-$w1", s"${w1.head} $w2", s"$w1@x", junk)
+    } yield (s"$w1$sep$w2", tgt)
+    Gen.choose(2, 8).flatMap(n => Gen.listOfN(n, row)).flatMap { rows =>
+      Gen.someOf(rows).map(dups => (rows ++ dups).toVector)
+    }
   }
 }

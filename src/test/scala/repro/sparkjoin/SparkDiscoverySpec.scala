@@ -1,12 +1,12 @@
 package repro.sparkjoin
 
-import repro.SparkSpec
-import repro.core.Discovery
+import repro.{PropHelper, SparkSpec}
+import repro.core.{Discovery, DiscoverySpec}
 import repro.core.Discovery.DiscoveryConfig
 import repro.data.SynthJoin
 
 /** Parity of the Spark-parallelized discovery with the local algorithm. */
-class SparkDiscoverySpec extends SparkSpec {
+class SparkDiscoverySpec extends SparkSpec with PropHelper {
 
   private val pairs = Vector(
     ("rafiei, davood", "d rafiei"),
@@ -65,5 +65,17 @@ class SparkDiscoverySpec extends SparkSpec {
     // same for every partitioning and for the local path.
     assert(a.stats == local.stats)
     assert(b.stats == local.stats)
+  }
+
+  test("random inputs: every slice count agrees with local discovery (property)") {
+    forAllSampled(DiscoverySpec.smallInputs, samples = 10) { pairs =>
+      val local = Discovery.discover(pairs)
+      for (slices <- Seq(1, 3, 8)) {
+        val dist = SparkDiscovery.discover(spark, pairs, numSlices = slices)
+        assert(dist.transformations == local.transformations, s"slices=$slices")
+        assert(dist.top == local.top, s"slices=$slices")
+        assert(dist.stats == local.stats, s"slices=$slices")
+      }
+    }
   }
 }
