@@ -50,7 +50,7 @@ object AutoJoin {
     var exhausted: Boolean    = false
     def spend(): Boolean = {
       nodes += 1
-      if (nodes > maxNodes || (nodes % 256 == 0 && System.nanoTime() > deadlineNanos))
+      if (nodes > maxNodes || System.nanoTime() >= deadlineNanos)
         exhausted = true
       !exhausted
     }

@@ -44,16 +44,17 @@ object RowMatcher {
     val out = mutable.LinkedHashSet.empty[(Int, Int)]
     for (r <- src.indices; n <- cfg.n0 to cfg.nMax) {
       val grams = NGrams.distinct(src(r), n)
-      var repScore = 0.0
+      // Argmax of Rscore = 1 / (srcCount · tc) as the smallest integer
+      // product, so equal scores compare equal; on ties prefer the
+      // lexicographically smaller gram so runs are reproducible.
+      var repProduct = 0L
       var rep: String = null
       for (g <- grams) {
         val tc = tgtPostings.get(g).map(_.size).getOrElse(0)
         if (tc > 0) {
-          val score = 1.0 / srcCount(g) / tc
-          // Deterministic argmax: on ties prefer the lexicographically
-          // smaller gram so runs are reproducible.
-          if (score > repScore || (score == repScore && rep != null && g < rep)) {
-            repScore = score
+          val product = srcCount(g).toLong * tc
+          if (rep == null || product < repProduct || (product == repProduct && g < rep)) {
+            repProduct = product
             rep = g
           }
         }

@@ -1,7 +1,6 @@
 package repro.sparkjoin
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.matching.{NGrams, RowMatcher}
 
@@ -10,8 +9,9 @@ import repro.matching.{NGrams, RowMatcher}
   *
   * The inverted index of the local matcher becomes a grams relation
   * (row id, n, gram); IRF counts are `groupBy(n, gram)` aggregates; the
-  * per-(row, n) representative n-gram is a window argmax over Rscore; and
-  * retrieval is a join of representatives against the target grams relation.
+  * per-(row, n) representative n-gram is a `min` aggregate over the Rscore
+  * denominator; and retrieval is a join of representatives against the
+  * target grams relation.
   * Semantics match [[repro.matching.RowMatcher.matchPairs]] exactly (tested
   * for equivalence).
   */
@@ -51,26 +51,22 @@ object SparkRowMatcher {
       tgtVal: String = "tgt_val",
       cfg: RowMatcher.MatchConfig = RowMatcher.MatchConfig(),
   ): DataFrame = {
-    val srcGrams = grams(source, srcId, srcVal, cfg).cache()
-    val tgtGrams = grams(target, tgtId, tgtVal, cfg).cache()
+    val srcGrams = grams(source, srcId, srcVal, cfg)
+    val tgtGrams = grams(target, tgtId, tgtVal, cfg)
 
     // IRF denominators: number of rows of each column containing the gram.
     val srcCount = srcGrams.groupBy("n", "gram").agg(count(col("id")) as "sc")
     val tgtCount = tgtGrams.groupBy("n", "gram").agg(count(col("id")) as "tc")
 
-    // Rscore per (source row, n, gram), defined only for grams in both columns.
-    val scored = srcGrams
+    // Representative gram per (source row, n), over grams in both columns:
+    // the largest Rscore 1 / (sc · tc) is the smallest integer product, ties
+    // broken by the smaller gram (the local matcher's rule).
+    val reps = srcGrams
       .join(srcCount, Seq("n", "gram"))
       .join(tgtCount, Seq("n", "gram"))
-      .withColumn("score", lit(1.0) / (col("sc") * col("tc")))
-
-    // Representative gram per (source row, n): window argmax, ties broken by
-    // the lexicographically smaller gram (same rule as the local matcher).
-    val w = Window.partitionBy("id", "n").orderBy(col("score").desc, col("gram").asc)
-    val reps = scored
-      .withColumn("rk", row_number().over(w))
-      .where(col("rk") === 1)
-      .select(col("id") as "src_id_m", col("n"), col("gram"))
+      .groupBy("id", "n")
+      .agg(min(struct(col("sc") * col("tc"), col("gram"))) as "rep")
+      .select(col("id") as "src_id_m", col("n"), col("rep.gram") as "gram")
 
     // Retrieval: every target row containing a representative gram.
     reps

@@ -1,6 +1,6 @@
 package repro.sparkjoin
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.Discovery.{DiscoveryConfig, DiscoveryResult}
 import repro.core.{Discovery, Transformation}
@@ -11,10 +11,9 @@ import repro.matching.RowMatcher
   * transformations and performs join on transformed columns").
   *
   * Pipeline: distributed n-gram row matching → sample of candidate pairs →
-  * local transformation discovery (§4.1) → each discovered transformation is
-  * registered as a UDF over the source column and the per-transformation
-  * frames are unioned → a plain Catalyst equi-join on the transformed key
-  * against the target column.
+  * local transformation discovery (§4.1) → one UDF over the source column
+  * returns each row's distinct keys under the cover set → a plain Catalyst
+  * equi-join of the exploded keys against the target column ([[joinOn]]).
   */
 object TransformJoin {
 
@@ -35,25 +34,28 @@ object TransformJoin {
       discovery: DiscoveryResult,
   )
 
-  /** Applies one discovered transformation as a UDF column. */
-  def transformColumn(t: Transformation)(c: Column): Column = {
-    val f = udf { (s: String) => if (s == null) None else t(s) }
-    f(c)
-  }
-
-  /** Transforms `srcVal` under every transformation in `ts` (tagged with the
-    * 0-based rule index) — the unioned "transformed source" relation.
+  /** The transform-join of `source` (`src_id`, `src_val`) and `target`
+    * (`tgt_id`, `tgt_val`) under the cover set `ts`, in one pass over the
+    * source: one UDF returns each distinct key of `src_val`, tagged with the
+    * index of the first rule in `ts` that produces it, and the exploded keys
+    * are equi-joined with `tgt_val`. A rule undefined on a value adds no key
+    * and a null value has none. With no rules the key is `src_val` itself,
+    * tagged -1: the equi-join on the raw column (empty when formats differ,
+    * which is the honest answer).
+    *
+    * @return (src_id, src_val, rule, join_key, tgt_id, tgt_val), one row per
+    *         joined (src_id, tgt_id) when both ids are keys
     */
-  def transformed(source: DataFrame, srcVal: String, ts: Seq[Transformation]): DataFrame = {
-    require(ts.nonEmpty, "no transformations to apply")
-    ts.zipWithIndex
-      .map { case (t, i) =>
-        source
-          .withColumn("rule", lit(i))
-          .withColumn("join_key", transformColumn(t)(col(srcVal)))
-          .where(col("join_key").isNotNull)
-      }
-      .reduce(_ unionByName _)
+  def joinOn(source: DataFrame, target: DataFrame, ts: Seq[Transformation]): DataFrame = {
+    val rules = ts.toVector
+    val keys = udf { (s: String) =>
+      if (s == null) Seq.empty[(Int, String)]
+      else if (rules.isEmpty) Seq((-1, s))
+      else rules.indices.flatMap(i => rules(i)(s).map((i, _))).distinctBy(_._2)
+    }
+    source
+      .select(col("*"), inline(keys(col("src_val"))).as(Seq("rule", "join_key")))
+      .join(target, col("join_key") === col("tgt_val"))
   }
 
   /** Full pipeline over two single-column relations.
@@ -93,18 +95,8 @@ object TransformJoin {
     val disc = Discovery.discover(sampled, cfg.discovery)
     val ts   = disc.transformations
 
-    // 4. Apply each transformation as a UDF and equi-join on the result.
-    val joined =
-      if (ts.isEmpty) {
-        // No transformation found: the equi-join on the raw column (empty
-        // result when formats differ, which is the honest answer).
-        src.withColumn("rule", lit(-1))
-          .withColumn("join_key", col("src_val"))
-          .join(tgt, col("join_key") === col("tgt_val"))
-      } else {
-        transformed(src, "src_val", ts)
-          .join(tgt, col("join_key") === col("tgt_val"))
-      }
+    // 4. One pass of the cover set over the source, equi-joined with target.
+    val joined = joinOn(src, tgt, ts)
     pairsDf.unpersist(blocking = false)
     TransformJoinResult(joined, ts, nPairs, disc)
   }

@@ -15,6 +15,20 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
+  /** Runs `body` at `n` shuffle partitions with adaptive partition
+    * coalescing off (with it on, small shuffles collapse to one partition and
+    * a partition-count check sees nothing), then restores both settings.
+    */
+  def withShufflePartitions[A](n: Int)(body: => A): A = {
+    val keys = Seq("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+    val prev = keys.map(spark.conf.get)
+    try {
+      spark.conf.set(keys(0), n.toLong)
+      spark.conf.set(keys(1), false)
+      body
+    } finally keys.zip(prev).foreach { case (k, v) => spark.conf.set(k, v) }
+  }
+
   override def afterAll(): Unit = { super.afterAll() }
 }
 

@@ -58,6 +58,10 @@ class AutoJoinSpec extends SparkSpec {
     assert(exhausted)
   }
 
+  test("a spent deadline stops the search at its first node") {
+    assert(findForSubset(fig1Subset, AutoJoinConfig(timeLimitMs = 0)) == ((None, true)))
+  }
+
   test("run: full table driver returns coverage over all pairs") {
     val pairs = Vector(
       ("rafiei, davood", "d rafiei"),
@@ -94,7 +98,7 @@ class AutoJoinSpec extends SparkSpec {
     val t0  = System.nanoTime()
     val res = AutoJoin.run(pairs, AutoJoinConfig(timeLimitMs = 500, maxNodes = Long.MaxValue / 4))
     val ms  = (System.nanoTime() - t0) / 1000000L
-    // Generous bound: the time check runs every 256 nodes and node cost is
+    // Generous bound: the deadline is checked once per node and node cost is
     // JIT-state-dependent, so only gross overruns should fail here.
     assert(ms < 60_000, s"took ${ms}ms, budget was 500ms")
     assert(res.budgetExhausted || res.transformations.isEmpty)

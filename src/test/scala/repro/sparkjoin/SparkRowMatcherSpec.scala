@@ -35,6 +35,32 @@ class SparkRowMatcherSpec extends SparkSpec {
     parity(ds.source, ds.target)
   }
 
+  test("parity on an Rscore tie: the smaller gram wins") {
+    // Row 0's grams "aaaa" (3 source rows × 11 target rows) and "bbbb"
+    // (11 × 3) have equal Rscore 1/33, so "aaaa" is its representative.
+    val src = Vector("aaaa-bbbb", "aaaa", "aaaa") ++ Vector.fill(10)("bbbb")
+    val tgt = Vector.fill(11)("aaaa") ++ Vector.fill(3)("bbbb")
+    val row0 = RowMatcher.matchPairs(src, tgt).collect { case (0, j) => j }
+    assert(row0 == (0 to 10).toSet)
+    parity(src, tgt)
+  }
+
+  test("1, 8 and 64 shuffle partitions give the same pairs") {
+    val ds   = WebBenchSim.dataset(WebBenchSim.specs.head)
+    val runs = Seq(1, 8, 64).map { n =>
+      withShufflePartitions(n)(SparkRowMatcher.matchPairsLocal(spark, ds.source, ds.target))
+    }
+    assert(runs.head.nonEmpty)
+    assert(runs.forall(_ == runs.head))
+  }
+
+  test("matching leaves no persisted data behind") {
+    val ds     = WebBenchSim.dataset(WebBenchSim.specs.head)
+    val before = spark.sparkContext.getPersistentRDDs.size
+    assert(SparkRowMatcher.matchPairs(ds.sourceDf(spark), ds.targetDf(spark)).count() > 0)
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
+  }
+
   test("distributed matching quality on a web table") {
     val ds    = WebBenchSim.dataset(WebBenchSim.specs.head)
     val pairs = SparkRowMatcher.matchPairsLocal(spark, ds.source, ds.target)

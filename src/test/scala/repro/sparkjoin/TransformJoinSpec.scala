@@ -1,9 +1,7 @@
 package repro.sparkjoin
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.Transformation
-import repro.core.{Literal, Split, SplitSubstr}
+import repro.core.{Literal, Split, SplitSubstr, Substr, Transformation}
 import repro.data.WebBenchSim
 import TransformJoin._
 
@@ -22,11 +20,12 @@ class TransformJoinSpec extends SparkSpec {
   test("end-to-end join recovers the gold pairs on a web table") {
     val res = TransformJoin.join(spark, ds.sourceDf(spark), ds.targetDf(spark), joinCfg)
     assert(res.transformations.nonEmpty)
-    val joined = res.joined
+    val rows = res.joined
       .select("src_id", "tgt_id")
       .collect()
       .map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
-      .toSet
+    val joined = rows.toSet
+    assert(rows.length == joined.size, "one row per joined (src_id, tgt_id)")
     val hit = ds.goldPairs.count(joined.contains)
     assert(hit >= (ds.goldPairs.size * 0.9).toInt, s"hit=$hit of ${ds.goldPairs.size}")
     // Precision: the transformed join should not flood with false pairs
@@ -43,46 +42,65 @@ class TransformJoinSpec extends SparkSpec {
   }
 
   test("the equi-join over transformed columns matches DuckDB (oracle)") {
+    import spark.implicits._
     val golds = ds.goldTransformations
     val src   = ds.sourceDf(spark)
     val tgt   = ds.targetDf(spark)
-    val trans = TransformJoin.transformed(src, "src_val", golds)
-    val joined = trans
-      .join(tgt, col("join_key") === col("tgt_val"))
-      .select("src_id", "src_val", "rule", "join_key", "tgt_id", "tgt_val")
+    // Every (row, rule, key) evaluated in plain Scala; DuckDB names each
+    // distinct key of a row by the first rule that produces it.
+    val keys = for {
+      (s, i)  <- ds.source.zipWithIndex
+      (t, k)  <- golds.zipWithIndex
+      joinKey <- t(s)
+    } yield (i.toLong, k, joinKey)
     Oracle.assertEquivalent(
-      joined,
-      """SELECT s.src_id, s.src_val, s.rule, s.join_key, t.tgt_id, t.tgt_val
-        |FROM transformed s JOIN target t ON s.join_key = t.tgt_val""".stripMargin,
-      "transformed" -> trans.select("src_id", "src_val", "rule", "join_key"),
-      "target"      -> tgt,
+      joinOn(src, tgt, golds),
+      """SELECT s.src_id, s.src_val, k.rule, k.join_key, t.tgt_id, t.tgt_val
+        |FROM (SELECT src_id, join_key, min(CAST(rule AS INTEGER)) AS rule
+        |      FROM keys GROUP BY src_id, join_key) k
+        |JOIN src s ON s.src_id = k.src_id
+        |JOIN tgt t ON k.join_key = t.tgt_val""".stripMargin,
+      "keys" -> keys.toDF("src_id", "rule", "join_key"),
+      "src"  -> src,
+      "tgt"  -> tgt,
     )
   }
 
-  test("transformColumn applies a transformation as a UDF") {
+  /** (src_id, rule, join_key, tgt_id) rows of `joinOn`, sorted. */
+  private def keyRows(src: Seq[(Long, String)], tgt: Seq[(Long, String)], ts: Seq[Transformation]) = {
     import spark.implicits._
-    val t  = Transformation(SplitSubstr(' ', 2, 0, 1), Literal(" "), Split(',', 1))
-    val df = Seq("bowling, michael", "rafiei, davood").toDF("v")
-    val out = df.select(transformColumn(t)(col("v")) as "k").as[String].collect().toSeq
-    assert(out == Seq("m bowling", "d rafiei"))
+    joinOn(src.toDF("src_id", "src_val"), tgt.toDF("tgt_id", "tgt_val"), ts)
+      .select("src_id", "rule", "join_key", "tgt_id")
+      .as[(Long, Int, String, Long)]
+      .collect()
+      .toVector
+      .sorted
   }
 
-  test("transformColumn yields null where the transformation is undefined") {
-    import spark.implicits._
-    val t   = Transformation(Split(',', 2))
-    val df  = Seq("a,b", "nocomma", null.asInstanceOf[String]).toDF("v")
-    val out = df.select(transformColumn(t)(col("v")) as "k").collect().map(_.getString(0))
-    assert(out.toSeq == Seq("b", null, null))
+  test("a rule undefined on a row adds no key") {
+    val ts  = Seq(Transformation(Split(',', 2)), Transformation(Substr(0, 1)))
+    val tgt = Seq(0L -> "b", 1L -> "a", 2L -> "n", 3L -> "nocomma")
+    val out = keyRows(Seq(0L -> "a,b", 1L -> "nocomma"), tgt, ts)
+    assert(out == Vector((0L, 0, "b", 0L), (0L, 1, "a", 1L), (1L, 1, "n", 2L)))
   }
 
-  test("transformed() unions one frame per rule with rule tags") {
-    val golds = ds.goldTransformations
-    val out   = TransformJoin.transformed(ds.sourceDf(spark), "src_val", golds)
-    val rules = out.select("rule").distinct().collect().map(_.getInt(0)).toSet
-    assert(rules == golds.indices.toSet)
-    // Every source row appears under every rule that is defined on it.
-    val n = out.count()
-    assert(n >= ds.source.size) // rule 0 alone is defined on all rows here
+  test("a null source value joins nothing") {
+    val src = Seq(0L -> null.asInstanceOf[String], 1L -> "x")
+    val tgt = Seq(0L -> null.asInstanceOf[String], 1L -> "x")
+    assert(keyRows(src, tgt, Nil) == Vector((1L, -1, "x", 1L)))
+    assert(keyRows(src, tgt, Seq(Transformation(Substr(0, 1)))) == Vector((1L, 0, "x", 1L)))
+  }
+
+  test("one row per pair; the first rule that produces the key names it") {
+    // Rules 0 and 1 both give "bowling"; rule 2 gives "m bowling".
+    val ts = Seq(
+      Transformation(Split(',', 1)),
+      Transformation(Substr(0, 7)),
+      Transformation(SplitSubstr(' ', 2, 0, 1), Literal(" "), Split(',', 1)),
+    )
+    val tgt = Seq(0L -> "bowling", 1L -> "m bowling", 2L -> "bowling")
+    val out = keyRows(Seq(0L -> "bowling, michael"), tgt, ts)
+    assert(out == Vector((0L, 0, "bowling", 0L), (0L, 0, "bowling", 2L), (0L, 2, "m bowling", 1L)))
   }
 
   test("join falls back to raw equi-join when nothing is discovered") {
@@ -96,19 +114,10 @@ class TransformJoinSpec extends SparkSpec {
   }
 
   test("the discovery sample does not depend on the shuffle partition count") {
-    // Adaptive execution would coalesce the small shuffles into one
-    // partition; it is switched off so each run really has n partitions.
-    val keys = Seq("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
-    val prev = keys.map(spark.conf.get)
     val cfg  = joinCfg.copy(samplePairs = 30)
-    val runs =
-      try {
-        spark.conf.set(keys(1), false)
-        Seq(1, 8, 64).map { n =>
-          spark.conf.set(keys(0), n.toLong)
-          TransformJoin.join(spark, ds.sourceDf(spark), ds.targetDf(spark), cfg)
-        }
-      } finally keys.zip(prev).foreach { case (k, v) => spark.conf.set(k, v) }
+    val runs = Seq(1, 8, 64).map { n =>
+      withShufflePartitions(n)(TransformJoin.join(spark, ds.sourceDf(spark), ds.targetDf(spark), cfg))
+    }
     assert(runs.head.matchedPairs > cfg.samplePairs, "the sample must be a strict subset")
     for (r <- runs.tail) {
       assert(r.discovery.nRows == cfg.samplePairs)
