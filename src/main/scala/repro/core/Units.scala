@@ -31,32 +31,32 @@ sealed trait TransformationUnit extends Serializable with Product {
 
 object TransformationUnit {
 
-  /** Splits on every occurrence of any character in `delims`, keeping empty
-    * pieces (like `String.split` with limit -1, but char-exact: no regex
-    * surprises for punctuation delimiters).
-    */
-  private[core] def splitKeepEmpty(input: String, delims: Char*): Array[String] = {
-    val out   = Array.newBuilder[String]
-    var start = 0
-    var i     = 0
-    while (i < input.length) {
-      val ch = input.charAt(i)
-      if (delims.contains(ch)) {
-        out += input.substring(start, i)
-        start = i + 1
-      }
-      i += 1
-    }
-    out += input.substring(start)
-    out.result()
-  }
-
   private[core] def substr(piece: String, s: Int, e: Int): Option[String] =
     if (s >= 0 && s < e && e <= piece.length) Some(piece.substring(s, e)) else None
 
-  private[core] def piece(input: String, i: Int, delims: Char*): Option[String] = {
-    val parts = splitKeepEmpty(input, delims: _*)
-    if (i >= 1 && i <= parts.length) Some(parts(i - 1)) else None
+  /** The i-th (1-based) piece of `input` split on `c`, keeping empty pieces
+    * (like `String.split` with limit -1, but char-exact: no regex surprises
+    * for punctuation delimiters); `None` past the last piece.
+    */
+  private[core] def piece(input: String, i: Int, c: Char): Option[String] = piece(input, i, c, c)
+
+  /** The i-th (1-based) piece of `input` split on every `c1` and every `c2`,
+    * found by scanning for delimiters without building the other pieces.
+    */
+  private[core] def piece(input: String, i: Int, c1: Char, c2: Char): Option[String] = {
+    var start = 0 // where the current piece starts
+    var k     = 1 // the current piece's 1-based index
+    var j     = 0
+    while (j < input.length) {
+      val ch = input.charAt(j)
+      if (ch == c1 || ch == c2) {
+        if (k == i) return Some(input.substring(start, j))
+        k += 1
+        start = j + 1
+      }
+      j += 1
+    }
+    if (k == i) Some(input.substring(start)) else None
   }
 
   /** Backslash-escapes quotes and backslashes for `render`, so renderings

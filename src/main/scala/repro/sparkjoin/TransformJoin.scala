@@ -58,7 +58,9 @@ object TransformJoin {
       .join(target, col("join_key") === col("tgt_val"))
   }
 
-  /** Full pipeline over two single-column relations.
+  /** Full pipeline over two single-column relations. Neither input is
+    * cached (a caller that reuses them caches them itself); the matched pairs
+    * are cached while they are counted and sampled, then released.
     *
     * @param source DataFrame with (`src_id` long, `src_val` string)
     * @param target DataFrame with (`tgt_id` long, `tgt_val` string)
@@ -71,19 +73,16 @@ object TransformJoin {
       target: DataFrame,
       cfg: TransformJoinConfig = TransformJoinConfig(),
   ): TransformJoinResult = {
-    val src = source.cache()
-    val tgt = target.cache()
-
     // 1. Candidate joinable row pairs (distributed Algorithm 1).
-    val pairsDf = SparkRowMatcher.matchPairs(src, tgt, cfg = cfg.matching).cache()
+    val pairsDf = SparkRowMatcher.matchPairs(source, target, cfg = cfg.matching).cache()
     val nPairs  = pairsDf.count()
 
     // 2. Sample pairs and materialize their strings for discovery. The order
     // is a seeded hash of the pair's ids (ties broken by the ids), so the
     // sample does not depend on partitioning.
     val sampled = pairsDf
-      .join(src, "src_id")
-      .join(tgt, "tgt_id")
+      .join(source, "src_id")
+      .join(target, "tgt_id")
       .orderBy(xxhash64(col("src_id"), col("tgt_id"), lit(cfg.sampleSeed)), col("src_id"), col("tgt_id"))
       .limit(cfg.samplePairs)
       .select(col("src_val"), col("tgt_val"))
@@ -96,7 +95,7 @@ object TransformJoin {
     val ts   = disc.transformations
 
     // 4. One pass of the cover set over the source, equi-joined with target.
-    val joined = joinOn(src, tgt, ts)
+    val joined = joinOn(source, target, ts)
     pairsDf.unpersist(blocking = false)
     TransformJoinResult(joined, ts, nPairs, disc)
   }

@@ -1,5 +1,6 @@
 package repro
 
+import java.util.concurrent.{Callable, ExecutionException, ForkJoinPool}
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 
@@ -28,4 +29,21 @@ trait PropHelper {
     }
     require(produced > samples / 2, s"generator too restrictive: only $produced samples")
   }
+
+  /** Runs `body` with one fork-join pool of 1 thread and one of 8, and shuts
+    * both down afterwards. A parallel stream started from a pool's worker
+    * thread runs in that pool, so [[onPool]] pins the thread count of the
+    * parallel code it calls without any setting.
+    */
+  def withOneAndEightThreads[A](body: (ForkJoinPool, ForkJoinPool) => A): A = {
+    val one   = new ForkJoinPool(1)
+    val eight = new ForkJoinPool(8)
+    try body(one, eight)
+    finally { one.shutdown(); eight.shutdown() }
+  }
+
+  /** Evaluates `body` on a worker thread of `pool`. */
+  def onPool[A](pool: ForkJoinPool)(body: => A): A =
+    try pool.submit(new Callable[A] { def call(): A = body }).get()
+    catch { case e: ExecutionException => throw e.getCause }
 }

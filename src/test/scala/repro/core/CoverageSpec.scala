@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.ForkJoinPool
+import java.util.stream.IntStream
 import org.scalacheck.Gen
 import repro.{PropHelper, SparkSpec}
 
@@ -34,13 +36,17 @@ class CoverageSpec extends SparkSpec with PropHelper {
     }
   }
 
-  test("cache never changes coverage results (consistency)") {
+  /** Random small inputs over a four-letter alphabet, with a seed. */
+  private val input = {
     val str = Gen.choose(0, 7).flatMap(n => Gen.listOfN(n, Gen.oneOf('a', 'b', ' ', ',')).map(_.mkString))
-    val input = for {
+    for {
       n     <- Gen.choose(1, 5)
       pairs <- Gen.listOfN(n, Gen.zip(str, str))
       seed  <- Gen.long
     } yield (pairs, seed)
+  }
+
+  test("cache never changes coverage results (consistency)") {
     forAllSampled(input, samples = 60) { case (pairs, seed) =>
       val rows = rowStates(pairs)
       val ts = TransformationGen.forPairs(pairs)._1 ++ Vector(
@@ -83,6 +89,60 @@ class CoverageSpec extends SparkSpec with PropHelper {
     for (filter <- Seq(warm, new UnitFilter(rows))) {
       assert(filter.covered(tInitial).toSeq == Seq(0, 1, 2))
       assert(filter.covered(tFirst).toSeq == Seq(3))
+    }
+  }
+
+  test("counts, counters and covered rows do not depend on the thread count (property)") {
+    withOneAndEightThreads { (one, eight) =>
+      forAllSampled(input, samples = 40) { case (pairs, seed) =>
+        val rows = rowStates(pairs)
+        val ts   = TransformationGen.forPairs(pairs)._1
+        val perm = new scala.util.Random(seed).shuffle(ts.indices.toVector)
+        // Both orders counted, and every covered set taken concurrently
+        // from one shared filter.
+        def run(pool: ForkJoinPool) = onPool(pool) {
+          val (cov, stats)         = counts(ts, rows)
+          val (permCov, permStats) = counts(perm.map(ts), rows)
+          val filter               = new UnitFilter(rows)
+          val covered              = new Array[Seq[Int]](ts.size)
+          IntStream.range(0, ts.size).parallel().forEach { i =>
+            covered(perm(i)) = filter.covered(ts(perm(i))).toSeq
+          }
+          (cov.toSeq, stats, permCov.toSeq, permStats, covered.toSeq)
+        }
+        val (cov, stats, permCov, permStats, covered) = run(one)
+        assert(run(eight) == ((cov, stats, permCov, permStats, covered)))
+        assert(permCov == perm.map(cov) && permStats == stats)
+        assert(covered.map(_.size) == cov)
+      }
+    }
+  }
+
+  test("covered equals a recount through apply, on non-BMP text and empty pieces (property)") {
+    // Tokens include a surrogate pair, so unit outputs and Substr cuts may
+    // hold half a character; the empty token makes empty strings likely.
+    val text = Gen.choose(0, 6).flatMap(n => Gen.listOfN(n, Gen.oneOf("\uD83D\uDE00", " ", ",", "a", "")).map(_.mkString))
+    val pair = for {
+      src <- text
+      tgt <- Gen.oneOf(text, Gen.const(src), Gen.const(src.reverse), Gen.const(src.take(2)), Gen.const(src.drop(1)))
+    } yield (src, tgt)
+    val gen = Gen.choose(1, 6).flatMap(n => Gen.listOfN(n, pair))
+    val cuts = Vector(
+      Transformation(Vector.empty),
+      Transformation(Substr(0, 1)),
+      Transformation(Substr(1, 2)),
+      Transformation(Substr(0, 1), Substr(1, 2)),
+      Transformation(Substr(0, 1), Literal("\uDE00")),
+      Transformation(Split(',', 2), Substr(0, 1)),
+      Transformation(SplitSubstr(' ', 2, 0, 1), Split(',', 1)),
+    )
+    forAllSampled(gen, samples = 200) { pairs =>
+      val rows   = rowStates(pairs)
+      val ts     = TransformationGen.forPairs(pairs)._1 ++ cuts
+      val filter = new UnitFilter(rows)
+      val recount = ts.map(t => rows.indices.filter(ri => t.apply(rows(ri).src).contains(rows(ri).tgt)))
+      for ((t, expected) <- ts.zip(recount)) assert(filter.covered(t).toSeq == expected, t)
+      assert(counts(ts, rows)._1.toSeq == recount.map(_.size))
     }
   }
 }

@@ -153,6 +153,18 @@ class DiscoverySpec extends SparkSpec with PropHelper {
     }
   }
 
+  test("results do not depend on the thread count (property)") {
+    withOneAndEightThreads { (one, eight) =>
+      forAllSampled(DiscoverySpec.smallInputs, samples = 30) { pairs =>
+        val a = onPool(one)(discover(pairs))
+        val b = onPool(eight)(discover(pairs))
+        assert(b.transformations == a.transformations)
+        assert(b.top == a.top)
+        assert(b.stats == a.stats)
+      }
+    }
+  }
+
   test("every chosen rule covers exactly the rows it claims; gains sum to the union (property)") {
     forAllSampled(DiscoverySpec.smallInputs, samples = 30) { pairs =>
       // The default support floor of two rows makes the greedy take rules

@@ -63,6 +63,27 @@ class UnitsSpec extends SparkSpec with PropHelper {
     }
   }
 
+  test("pieces agree with String.split on the quoted delimiter, limit -1 (property)") {
+    // Delimiter runs, leading and trailing delimiters and the empty string;
+    // '.' and '|' are regex metacharacters, so the quoting matters.
+    val delim = Gen.oneOf(',', '.', '|')
+    val str = Gen.oneOf(
+      Gen.listOf(Gen.oneOf(Gen.const('a'), Gen.const('b'), delim)).map(_.mkString),
+      Gen.oneOf("", ",", "..", "|a|", ",,a,,b,,"),
+    )
+    val gen = for { s <- str; c1 <- delim; c2 <- delim } yield (s, c1, c2)
+    def quoted(c: Char) = java.util.regex.Pattern.quote(c.toString)
+    forAllSampled(gen, samples = 300) { case (s, c1, c2) =>
+      val parts  = s.split(quoted(c1), -1)
+      val parts2 = s.split(s"${quoted(c1)}|${quoted(c2)}", -1)
+      for (i <- -1 to parts2.length + 1) {
+        assert(TransformationUnit.piece(s, i, c1) == parts.lift(i - 1), (s, i, c1))
+        assert(Split(c1, i)(s) == parts.lift(i - 1), (s, i, c1))
+        assert(TransformationUnit.piece(s, i, c1, c2) == parts2.lift(i - 1), (s, i, c1, c2))
+      }
+    }
+  }
+
   // ---- SplitSubstr ----
   test("SplitSubstr is Split then Substr") {
     // "bowling, michael" -> piece 2 of ' ' split is "michael", first char "m"

@@ -1,5 +1,6 @@
 package repro.sparkjoin
 
+import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec}
 import repro.core.{Literal, Split, SplitSubstr, Substr, Transformation}
 import repro.data.WebBenchSim
@@ -111,6 +112,15 @@ class TransformJoinSpec extends SparkSpec {
     val res = TransformJoin.join(spark, src, tgt)
     assert(res.transformations.isEmpty)
     assert(res.joined.count() == 0)
+  }
+
+  test("join leaves its inputs uncached and no persisted data behind") {
+    val src    = ds.sourceDf(spark)
+    val tgt    = ds.targetDf(spark)
+    val before = spark.sparkContext.getPersistentRDDs.size
+    assert(TransformJoin.join(spark, src, tgt, joinCfg).joined.count() > 0)
+    assert(src.storageLevel == StorageLevel.NONE && tgt.storageLevel == StorageLevel.NONE)
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
   }
 
   test("the discovery sample does not depend on the shuffle partition count") {
