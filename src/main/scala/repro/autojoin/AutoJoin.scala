@@ -18,32 +18,28 @@ import repro.core._
   */
 object AutoJoin {
 
-  /** `subsetSize`/`numSubsets` follow the paper's experimental setup (2 and 6,
-    * §6.2). `maxDepth` is the tree depth (3, §6.2). The budget caps the
-    * number of recursion nodes and wall-clock milliseconds across one table.
+  /** Rows per sampled subset: 2, the paper's experimental setup (§6.2). */
+  final val SubsetSize = 2
+
+  /** Subsets sampled per table: 6 (§6.2). */
+  final val NumSubsets = 6
+
+  /** Depth of the recursion tree: 3 (§6.2). */
+  final val MaxDepth = 3
+
+  /** The budget caps the number of recursion nodes and wall-clock
+    * milliseconds across one table.
     */
   final case class AutoJoinConfig(
-      subsetSize: Int = 2,
-      numSubsets: Int = 6,
-      maxDepth: Int = 3,
-      units: UnitCandidates.UnitConfig = UnitCandidates.UnitConfig(),
       maxNodes: Long = 2_000_000L,
       timeLimitMs: Long = 600_000L,
   )
 
   final case class AutoJoinResult(
       transformations: Vector[Transformation],
-      coverSet: Vector[CoverSet.Chosen],
-      nRows: Int,
       elapsedMs: Long,
       budgetExhausted: Boolean,
-  ) {
-    def topCoverage: Double =
-      if (coverSet.isEmpty || nRows == 0) 0.0
-      else coverSet.map(_.covered.length).max.toDouble / nRows
-    def setCoverage: Double =
-      CoverSet.unionCoverage(coverSet, nRows).toDouble / math.max(1, nRows)
-  }
+  )
 
   private final class Budget(maxNodes: Long, deadlineNanos: Long) {
     var nodes: Long           = 0L
@@ -57,13 +53,13 @@ object AutoJoin {
   }
 
   /** Exhaustively enumerates unit × parameter assignments — the baseline's
-    * blind search space (§5.2: u·l^z choices). Literal candidates are the
-    * substrings common to every remaining target segment.
+    * blind search space (§5.2: u·l^z choices), over the units of §6.2 (no
+    * TwoCharSplitSubstr). Literal candidates are the substrings common to
+    * every remaining target segment.
     */
   private def enumerateUnits(
       srcs: IndexedSeq[String],
       segments: IndexedSeq[String],
-      cfg: AutoJoinConfig,
   ): Vector[TransformationUnit] = {
     val out    = Vector.newBuilder[TransformationUnit]
     val maxLen = srcs.map(_.length).min
@@ -73,33 +69,22 @@ object AutoJoin {
     // a gratuitous l^(z+1).
     def pieces(c: Char): Int = 1 + srcs.map(_.count(_ == c)).max
 
-    if (cfg.units.useSubstr)
-      for (s <- 0 until maxLen; e <- (s + 1) to maxLen) out += Substr(s, e)
-    if (cfg.units.useSplit)
-      for (c <- chars; i <- 1 to pieces(c)) out += Split(c, i)
-    if (cfg.units.useSplitSubstr)
-      for {
-        c <- chars
-        i <- 1 to pieces(c)
-        s <- 0 until maxLen
-        e <- (s + 1) to maxLen
-      } out += SplitSubstr(c, i, s, e)
-    if (cfg.units.useTwoCharSplitSubstr)
-      for {
-        a <- chars.indices; b <- (a + 1) until chars.length
-        i <- 1 to (pieces(chars(a)) + pieces(chars(b)) - 1)
-        s <- 0 until maxLen; e <- (s + 1) to maxLen
-      } out += TwoCharSplitSubstr(chars(a), chars(b), i, s, e)
-    if (cfg.units.useLiteral) {
-      val first = segments.headOption.getOrElse("")
-      val commons = for {
-        s <- 0 until first.length
-        e <- (s + 1) to first.length
-        sub = first.substring(s, e)
-        if segments.forall(_.contains(sub))
-      } yield Literal(sub)
-      commons.distinct.foreach(out += _)
-    }
+    for (s <- 0 until maxLen; e <- (s + 1) to maxLen) out += Substr(s, e)
+    for (c <- chars; i <- 1 to pieces(c)) out += Split(c, i)
+    for {
+      c <- chars
+      i <- 1 to pieces(c)
+      s <- 0 until maxLen
+      e <- (s + 1) to maxLen
+    } out += SplitSubstr(c, i, s, e)
+    val first = segments.headOption.getOrElse("")
+    val commons = for {
+      s <- 0 until first.length
+      e <- (s + 1) to first.length
+      sub = first.substring(s, e)
+      if segments.forall(_.contains(sub))
+    } yield Literal(sub)
+    commons.distinct.foreach(out += _)
     out.result()
   }
 
@@ -110,15 +95,14 @@ object AutoJoin {
       srcs: IndexedSeq[String],
       segments: IndexedSeq[String],
       depth: Int,
-      cfg: AutoJoinConfig,
       budget: Budget,
   ): Option[Vector[TransformationUnit]] = {
     if (segments.forall(_.isEmpty)) return Some(Vector.empty)
-    if (depth > cfg.maxDepth || !budget.spend()) return None
+    if (depth > MaxDepth || !budget.spend()) return None
 
     // Rank all covering candidates by average covered target length, the
     // greedy order of §3.2; constants rank after copies at equal length.
-    val candidates = enumerateUnits(srcs, segments, cfg).flatMap { u =>
+    val candidates = enumerateUnits(srcs, segments).flatMap { u =>
       val outs = srcs.map(u(_))
       if (outs.forall(_.exists(o => o.nonEmpty)) &&
           outs.zip(segments).forall { case (o, seg) => seg.contains(o.get) })
@@ -138,12 +122,12 @@ object AutoJoin {
       val (lefts, rights) = (splits.map(_._1), splits.map(_._2))
       val leftRes =
         if (lefts.forall(_.isEmpty)) Some(Vector.empty[TransformationUnit])
-        else search(srcs, lefts, depth + 1, cfg, budget)
+        else search(srcs, lefts, depth + 1, budget)
       leftRes match {
         case Some(lu) =>
           val rightRes =
             if (rights.forall(_.isEmpty)) Some(Vector.empty[TransformationUnit])
-            else search(srcs, rights, depth + 1, cfg, budget)
+            else search(srcs, rights, depth + 1, budget)
           rightRes match {
             case Some(ru) => return Some(lu ++ Vector(u) ++ ru)
             case None     => // backtrack to next ranked unit
@@ -160,12 +144,12 @@ object AutoJoin {
       cfg: AutoJoinConfig = AutoJoinConfig(),
   ): (Option[Transformation], Boolean) = {
     val budget = new Budget(cfg.maxNodes, System.nanoTime() + cfg.timeLimitMs * 1000000L)
-    val res = search(subset.map(_._1), subset.map(_._2), 1, cfg, budget)
+    val res = search(subset.map(_._1), subset.map(_._2), 1, budget)
       .map(units => Transformation(units))
     (res, budget.exhausted)
   }
 
-  /** Full baseline run: `numSubsets` random subsets, one transformation
+  /** Full baseline run: [[NumSubsets]] random subsets, one transformation
     * attempt each; the union of the found transformations is the returned
     * "covering set" (the paper: "we took all those transformations returned
     * by auto-join"). A shared budget spans the whole table, mirroring the
@@ -182,12 +166,12 @@ object AutoJoin {
     var exhausted = false
     val found = Vector.newBuilder[Transformation]
     if (pairs.nonEmpty) {
-      for (_ <- 1 to cfg.numSubsets if !exhausted) {
+      for (_ <- 1 to NumSubsets if !exhausted) {
         // Sample rows without replacement — a degenerate single-row subset
         // would always be "covered" by a literal of its own target.
         val subset = rnd
           .shuffle(pairs.indices.toVector)
-          .take(math.min(cfg.subsetSize, pairs.size))
+          .take(math.min(SubsetSize, pairs.size))
           .map(pairs(_))
         val remainingMs = math.max(1L, (deadline - System.nanoTime()) / 1000000L)
         val (t, ex) = findForSubset(subset, cfg.copy(timeLimitMs = remainingMs))
@@ -195,17 +179,6 @@ object AutoJoin {
         t.foreach(found += _)
       }
     }
-    val distinct = found.result().distinct
-    val filter   = new Coverage.UnitFilter(Coverage.rowStates(pairs))
-    val cover    = distinct.map(t => (t, filter.covered(t))).collect {
-      case (t, c) if c.nonEmpty => CoverSet.Chosen(t, c, c.length)
-    }
-    AutoJoinResult(
-      distinct,
-      cover,
-      pairs.size,
-      (System.nanoTime() - t0) / 1000000L,
-      exhausted,
-    )
+    AutoJoinResult(found.result().distinct, (System.nanoTime() - t0) / 1000000L, exhausted)
   }
 }

@@ -64,10 +64,10 @@ object CoverSet {
     chosen.result()
   }
 
-  /** Rows covered by the union of a cover set. */
-  def unionCoverage(cover: Seq[Chosen], nRows: Int): Int = {
+  /** Rows in the union of the given covered-row sets over `nRows` rows. */
+  def unionCoverage(covered: Seq[Array[Int]], nRows: Int): Int = {
     val bits = new java.util.BitSet(nRows)
-    cover.foreach(_.covered.foreach(bits.set))
+    covered.foreach(_.foreach(bits.set))
     bits.cardinality()
   }
 }

@@ -46,7 +46,7 @@ object Discovery {
   ) {
     def topCoverage: Double = top.fold(0.0)(_._2.toDouble / math.max(1, nRows))
     def setCoverage: Double =
-      CoverSet.unionCoverage(coverSet, nRows).toDouble / math.max(1, nRows)
+      CoverSet.unionCoverage(coverSet.map(_.covered), nRows).toDouble / math.max(1, nRows)
     def transformations: Vector[Transformation] = coverSet.map(_.t)
   }
 

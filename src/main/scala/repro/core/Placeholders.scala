@@ -6,15 +6,10 @@ package repro.core
   * from the source by a non-constant unit; with copy-style units that is
   * exactly "a substring of the target that is also a substring of the
   * source". Maximal-length placeholders (§4.1.3) — those not contained in a
-  * longer one — form the backbone of the skeletons.
+  * longer one — form the backbone of the skeletons;
+  * [[Skeletons.maximalSkeleton]] reads them off the match lengths below.
   */
 object Placeholders {
-
-  /** A placeholder occurrence set: the block [tStart, tStart+len) of the
-    * target together with every start offset at which its text occurs in the
-    * source.
-    */
-  final case class Placeholder(tStart: Int, len: Int, text: String, srcStarts: Vector[Int])
 
   /** For each start position `j` of `target`, the largest `L` such that
     * `target.substring(j, j+L)` occurs in `source` (0 when even the single
@@ -45,25 +40,6 @@ object Placeholders {
     while (i >= 0) {
       out += i
       i = haystack.indexOf(needle, i + 1)
-    }
-    out.result()
-  }
-
-  /** Maximal-length placeholders of `target` w.r.t. `source`: blocks that
-    * occur in the source and are not contained in a longer occurring block.
-    * Containment needs only the previous start position checked, because
-    * `m(j-1) >= m(j) + 1` iff some earlier placeholder covers this one.
-    */
-  def maximal(source: String, target: String): Vector[Placeholder] = {
-    val m   = maxMatchLengths(source, target)
-    val out = Vector.newBuilder[Placeholder]
-    var j   = 0
-    while (j < target.length) {
-      if (m(j) > 0 && (j == 0 || m(j - 1) < m(j) + 1)) {
-        val text = target.substring(j, j + m(j))
-        out += Placeholder(j, m(j), text, occurrences(source, text))
-      }
-      j += 1
     }
     out.result()
   }

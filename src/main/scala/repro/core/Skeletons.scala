@@ -131,18 +131,22 @@ object Skeletons {
     Some(out.result())
   }
 
-  /** All skeletons for one row: cross product of whole/tokenized per maximal
-    * placeholder, plus the all-literal skeleton. Skeletons with more than
-    * `maxPlaceholders` placeholders are dropped (the paper caps transformation
-    * length at 3, §6.2); `maxSkeletons` bounds the cross product for rows
-    * with many separable placeholders.
+  /** At most this many placeholders per skeleton, hence per transformation:
+    * the paper's p ≤ 3 (§6.2).
     */
-  def all(
-      source: String,
-      target: String,
-      maxPlaceholders: Int = 3,
-      maxSkeletons: Int = 64,
-  ): Vector[Skeleton] = {
+  final val MaxPlaceholders = 3
+
+  /** Bound on the cross product kept per row, for rows with many fused or
+    * separable placeholders. Not a paper parameter: a safety bound.
+    */
+  final val MaxSkeletons = 64
+
+  /** All skeletons for one row: cross product of whole/tokenized per maximal
+    * placeholder, plus the all-literal skeleton. Partial combinations with
+    * more than [[MaxPlaceholders]] placeholders are dropped as the product is
+    * built, and the product is cut at [[MaxSkeletons]].
+    */
+  def all(source: String, target: String): Vector[Skeleton] = {
     val base = maximalSkeleton(source, target).blocks
     var variants: Vector[Vector[Block]] = Vector(Vector.empty)
     for ((block, i) <- base.zipWithIndex) {
@@ -156,14 +160,11 @@ object Skeletons {
         .flatMap(v => choices.map(v ++ _))
         // Prune over-cap partial combos eagerly so a few spurious fused
         // placeholders cannot crowd out the viable demoted variants.
-        .filter(_.count(_.isInstanceOf[P]) <= maxPlaceholders)
-      if (variants.size > maxSkeletons) variants = variants.take(maxSkeletons)
+        .filter(_.count(_.isInstanceOf[P]) <= MaxPlaceholders)
+      if (variants.size > MaxSkeletons) variants = variants.take(MaxSkeletons)
     }
-    val allLiteral = Skeleton(Vector(L(target)))
     val built =
       variants.map(v => Skeleton(mergeLiterals(v))).filter(s => s.placeholderCount >= 1)
-    (built :+ allLiteral)
-      .filter(_.placeholderCount <= maxPlaceholders)
-      .distinct
+    (built :+ Skeleton(Vector(L(target)))).distinct
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
-import repro.core.Skeletons.{Block, L, P, Skeleton}
-import repro.core.UnitCandidates.UnitConfig
+import repro.core.Skeletons.{L, P, Skeleton}
 
 /** Per-row candidate-transformation generation (paper §4.1.4).
   *
@@ -11,15 +10,13 @@ import repro.core.UnitCandidates.UnitConfig
   */
 object TransformationGen {
 
-  /** Knobs for the generation stage. Defaults mirror the paper's setup
-    * (§6.2): at most 3 placeholders per transformation, TwoCharSplitSubstr
-    * disabled. The caps are safety bounds for adversarial rows and are
-    * counted in [[GenStats.truncated]] when hit.
+  /** The generation caps. The paper's setup (§6.2) is fixed elsewhere: at
+    * most [[Skeletons.MaxPlaceholders]] placeholders per transformation, and
+    * no TwoCharSplitSubstr in [[UnitCandidates.forPlaceholder]]. These caps
+    * are safety bounds for adversarial rows and are counted in
+    * [[GenStats.truncated]] when hit.
     */
   final case class GenConfig(
-      units: UnitConfig = UnitConfig(),
-      maxPlaceholders: Int = 3,
-      maxSkeletonsPerRow: Int = 64,
       /** Candidate units per placeholder. The paper's per-row generation
         * volumes (Table 3: ~1-14k per row) imply an effectively O(1)
         * parameter space per placeholder (§5.1); the candidate enumeration is
@@ -56,7 +53,6 @@ object TransformationGen {
           source,
           t,
           Placeholders.occurrences(source, t),
-          cfg.units,
           cfg.maxCandidatesPerPlaceholder,
         )
     }
@@ -90,9 +86,7 @@ object TransformationGen {
   )(sink: Transformation => Unit): GenStats = {
     var generated = 0L
     var truncated = 0L
-    val skeletons =
-      Skeletons.all(source, target, cfg.maxPlaceholders, cfg.maxSkeletonsPerRow)
-    for (skeleton <- skeletons) {
+    for (skeleton <- Skeletons.all(source, target)) {
       val cands = blockCandidates(source, skeleton, cfg)
       val sizes = cands.map(_.size.toLong)
       val total = sizes.product

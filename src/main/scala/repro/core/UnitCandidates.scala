@@ -9,17 +9,6 @@ package repro.core
   */
 object UnitCandidates {
 
-  /** Which unit families participate. `TwoCharSplitSubstr` defaults to off to
-    * mirror the paper's experimental setup (§6.2 excludes it for runtime).
-    */
-  final case class UnitConfig(
-      useSubstr: Boolean = true,
-      useSplit: Boolean = true,
-      useSplitSubstr: Boolean = true,
-      useTwoCharSplitSubstr: Boolean = false,
-      useLiteral: Boolean = true,
-  ) extends Serializable
-
   /** 1-based index of the split piece of `input` (split on `delims`) that
     * contains character position `pos`, plus that piece's start offset.
     */
@@ -44,13 +33,17 @@ object UnitCandidates {
     * TwoCharSplitSubstr — so the cap cuts the long tail rather than the
     * high-value candidates; `Literal(txt)` is always included (it is the
     * §5.1 placeholder-as-literal choice).
+    *
+    * `TwoCharSplitSubstr` is off unless `withTwoCharSplitSubstr` is set: the
+    * paper's experiments leave it out for runtime (§6.2), and so does every
+    * caller here; the family stays implemented and tested (Lemma 1).
     */
   def forPlaceholder(
       source: String,
       txt: String,
       srcStarts: Vector[Int],
-      cfg: UnitConfig = UnitConfig(),
       maxCandidates: Int = 64,
+      withTwoCharSplitSubstr: Boolean = false,
   ): Vector[TransformationUnit] = {
     val out = scala.collection.mutable.LinkedHashSet.empty[TransformationUnit]
     def full = out.size >= maxCandidates - 1 // reserve a slot for Literal
@@ -60,18 +53,16 @@ object UnitCandidates {
     // Phase 1 — (1) Substr and (2) boundary Split for every occurrence.
     for (s <- srcStarts if !full) {
       val e = s + txt.length
-      if (cfg.useSubstr) out += Substr(s, e)
-      if (cfg.useSplit) {
-        // c adjacent to the match, absent from txt, and the piece containing
-        // the match must equal txt exactly.
-        val adjacent =
-          (if (s > 0) List(source.charAt(s - 1)) else Nil) ++
-            (if (e < source.length) List(source.charAt(e)) else Nil)
-        for (c <- adjacent.distinct if !inTxt(c)) {
-          val (i, pieceStart) = pieceAt(source, s, c)
-          if (TransformationUnit.piece(source, i, c).contains(txt) && pieceStart == s)
-            out += Split(c, i)
-        }
+      out += Substr(s, e)
+      // c adjacent to the match, absent from txt, and the piece containing
+      // the match must equal txt exactly.
+      val adjacent =
+        (if (s > 0) List(source.charAt(s - 1)) else Nil) ++
+          (if (e < source.length) List(source.charAt(e)) else Nil)
+      for (c <- adjacent.distinct if !inTxt(c)) {
+        val (i, pieceStart) = pieceAt(source, s, c)
+        if (TransformationUnit.piece(source, i, c).contains(txt) && pieceStart == s)
+          out += Split(c, i)
       }
     }
 
@@ -81,20 +72,18 @@ object UnitCandidates {
     // characters go first — they are the natural-language delimiters the
     // paper's real matches split on — and the loop round-robins characters
     // over occurrences so one occurrence cannot crowd out the rest.
-    if (cfg.useSplitSubstr) {
-      val chars = source.distinct.toSeq
-        .filterNot(inTxt)
-        .sortBy(c => (if (Skeletons.isSeparator(c)) 0 else 1, c))
-      for (c <- chars if !full; s <- srcStarts if !full) {
-        val e               = s + txt.length
-        val (i, pieceStart) = pieceAt(source, s, c)
-        out += SplitSubstr(c, i, s - pieceStart, e - pieceStart)
-      }
+    val delims = source.distinct.toSeq
+      .filterNot(inTxt)
+      .sortBy(c => (if (Skeletons.isSeparator(c)) 0 else 1, c))
+    for (c <- delims if !full; s <- srcStarts if !full) {
+      val e               = s + txt.length
+      val (i, pieceStart) = pieceAt(source, s, c)
+      out += SplitSubstr(c, i, s - pieceStart, e - pieceStart)
     }
 
     // Phase 3 — (4) TwoCharSplitSubstr: unordered pairs of distinct source
     // characters absent from txt.
-    if (cfg.useTwoCharSplitSubstr) {
+    if (withTwoCharSplitSubstr) {
       val chars = source.distinct.filterNot(inTxt)
       for {
         s <- srcStarts if !full
@@ -111,7 +100,7 @@ object UnitCandidates {
 
     // Phase 4 — (5) Literal(txt): always present, even at the cap (the
     // placeholder text may be constant by chance).
-    if (cfg.useLiteral) out += Literal(txt)
+    out += Literal(txt)
 
     out.toVector.take(maxCandidates)
   }

@@ -43,35 +43,11 @@ object OpenDataSim {
     val types   = Vector("street", "avenue")
     val quads   = Vector("nw", "sw", "ne", "se")
 
-    val seen  = scala.collection.mutable.LinkedHashSet.empty[String]
-    var guard = 0
-    while (seen.size < rows && guard < rows * 200) {
-      val s = s"${houses(rnd.nextInt(houses.size))} ${streets(rnd.nextInt(streets.size))} " +
+    val source = JoinDataset.distinctRows(rows, rows * 200) {
+      s"${houses(rnd.nextInt(houses.size))} ${streets(rnd.nextInt(streets.size))} " +
         s"${types(rnd.nextInt(2))} ${quads(rnd.nextInt(4))} edmonton"
-      seen += s
-      guard += 1
     }
-    require(seen.size == rows, s"address pool exhausted at ${seen.size} rows")
-    val source = seen.toVector
-
-    val cum = goldWeights.scanLeft(0.0)(_ + _).tail
-    val assignment = source.map { _ =>
-      val x = rnd.nextDouble() * cum.last
-      cum.indexWhere(x <= _)
-    }
-    val targetsInSourceOrder = source.zip(assignment).map { case (s, gi) =>
-      goldTransformations(gi)(s).getOrElse(
-        throw new IllegalStateException(s"gold $gi undefined on '$s'")
-      )
-    }
-    val perm   = rnd.shuffle(source.indices.toVector)
-    val target = Vector.tabulate(rows)(j => targetsInSourceOrder(perm.indexOf(j)))
-    JoinDataset(
-      name = "Open data",
-      source = source,
-      target = target,
-      goldPairs = source.indices.map(i => (i, perm(i))).toSet,
-      goldTransformations = goldTransformations,
-    )
+    require(source.size == rows, s"address pool exhausted at ${source.size} rows")
+    JoinDataset.fromGoldRules("Open data", source, goldTransformations, rnd, JoinDataset.weighted(goldWeights))
   }
 }

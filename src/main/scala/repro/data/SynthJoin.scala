@@ -30,12 +30,13 @@ object SynthJoin {
     */
   private val delimFloor = 10
 
+  /** Gold transformations per table: 3 (§6.1). */
+  final val GoldRules = 3
+
   final case class SynthConfig(
       rows: Int,
       minLen: Int = 20,
       maxLen: Int = 35,
-      nTransformations: Int = 3,
-      placeholdersPerTrans: Int = 2,
       seed: Long = 42L,
   )
 
@@ -98,24 +99,8 @@ object SynthJoin {
   def generate(cfg: SynthConfig, nameSuffix: String = ""): JoinDataset = {
     val rnd    = new Random(cfg.seed)
     val delims = rnd.shuffle(DelimPool).take(2)
-    val golds  = Vector.fill(cfg.nTransformations)(randomTransformation(rnd, cfg.minLen, delims))
+    val golds  = Vector.fill(GoldRules)(randomTransformation(rnd, cfg.minLen, delims))
     val source = Vector.fill(cfg.rows)(randomSource(rnd, cfg, delims))
-    val assignment = source.map(_ => rnd.nextInt(golds.size))
-    val targetsInSourceOrder = source.zip(assignment).map { case (s, gi) =>
-      golds(gi)(s).getOrElse(
-        throw new IllegalStateException(s"gold ${golds(gi).render} undefined on '$s'")
-      )
-    }
-    // Shuffle target row order so positional identity cannot leak into
-    // matching or discovery.
-    val perm   = rnd.shuffle(source.indices.toVector)
-    val target = Vector.tabulate(cfg.rows)(j => targetsInSourceOrder(perm.indexOf(j)))
-    JoinDataset(
-      name = s"Synth-${cfg.rows}$nameSuffix",
-      source = source,
-      target = target,
-      goldPairs = source.indices.map(i => (i, perm(i))).toSet,
-      goldTransformations = golds,
-    )
+    JoinDataset.fromGoldRules(s"Synth-${cfg.rows}$nameSuffix", source, golds, rnd, _.nextInt(golds.size))
   }
 }

@@ -141,8 +141,6 @@ object WebBenchSim {
     s"${1 + rnd.nextInt(99899)} ${pick(rnd, streets)} street nw"
   private def course(rnd: Random) = s"${pick(rnd, depts)} ${100 + rnd.nextInt(500)}"
   private def companyDomain(rnd: Random) = s"www.${pick(rnd, companies)}${digits(rnd, 2)}.com"
-  private def email(rnd: Random) =
-    s"${pick(rnd, firstNames)}.${pick(rnd, lastNames)}@${pick(rnd, companies)}.com"
   private def isbn(rnd: Random)    = s"978-${digits(rnd, 10)}"
   private def teamCity(rnd: Random) = s"${pick(rnd, cities)} ${pick(rnd, teams)}"
   private def binomial(rnd: Random) = s"${pick(rnd, genera)} ${pick(rnd, species)}"
@@ -316,31 +314,10 @@ object WebBenchSim {
 
   /** Materializes one spec into a [[JoinDataset]] (deterministic in seed). */
   def dataset(spec: TableSpec, seed: Long = 11L): JoinDataset = {
-    val rnd = new Random(seed ^ spec.name.hashCode.toLong)
-    // Distinct source rows (entity pools can collide on small tables).
-    val seen   = scala.collection.mutable.LinkedHashSet.empty[String]
-    var guard  = 0
-    while (seen.size < spec.rows && guard < spec.rows * 100) { seen += spec.gen(rnd); guard += 1 }
-    val source = seen.toVector
-    val weights = spec.variants.map(_._2)
-    val cum     = weights.scanLeft(0.0)(_ + _).tail
-    val assignment = source.map { _ =>
-      val x = rnd.nextDouble() * cum.last
-      cum.indexWhere(x <= _)
-    }
-    val targetsInSourceOrder = source.zip(assignment).map { case (s, vi) =>
-      spec.variants(vi)._1(s).getOrElse(
-        throw new IllegalStateException(s"${spec.name}: gold variant $vi undefined on '$s'")
-      )
-    }
-    val perm   = rnd.shuffle(source.indices.toVector)
-    val target = Vector.tabulate(source.size)(j => targetsInSourceOrder(perm.indexOf(j)))
-    JoinDataset(
-      name = spec.name,
-      source = source,
-      target = target,
-      goldPairs = source.indices.map(i => (i, perm(i))).toSet,
-      goldTransformations = spec.variants.map(_._1),
+    val rnd    = new Random(seed ^ spec.name.hashCode.toLong)
+    val source = JoinDataset.distinctRows(spec.rows, spec.rows * 100)(spec.gen(rnd))
+    JoinDataset.fromGoldRules(
+      spec.name, source, spec.variants.map(_._1), rnd, JoinDataset.weighted(spec.variants.map(_._2)),
     )
   }
 

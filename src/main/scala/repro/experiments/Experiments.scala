@@ -29,9 +29,10 @@ object Experiments {
       autoJoinBudgetMs: Long = envInt("REPRO_AUTOJOIN_BUDGET_MS", 6000).toLong,
       /** Skip Auto-Join entirely (Tables 1/3 do not need it). */
       runAutoJoin: Boolean = sys.env.getOrElse("REPRO_RUN_AUTOJOIN", "1") == "1",
-      /** Synthetic row counts (paper: 50 and 500). */
-      synthRows: Seq[Int] = Seq(50, 500),
   )
+
+  /** Rows of the synthetic tables: Synth-50 and Synth-500 (§6.1). */
+  val SynthRows: Vector[Int] = Vector(50, 500)
 
   private def envInt(k: String, d: Int): Int = sys.env.get(k).map(_.toInt).getOrElse(d)
 
@@ -105,10 +106,10 @@ object Experiments {
   def goldCoverage(ds: JoinDataset, ts: Seq[Transformation]): (Double, Double) = {
     val gold = ds.goldPairStrings
     if (gold.isEmpty || ts.isEmpty) return (0.0, 0.0)
-    val filter = new Coverage.UnitFilter(Coverage.rowStates(gold))
-    val perT   = ts.map { t => val c = filter.covered(t); CoverSet.Chosen(t, c, c.length) }
-    val top    = perT.map(_.covered.length).max
-    (top.toDouble / gold.size, CoverSet.unionCoverage(perT, gold.size).toDouble / gold.size)
+    val filter  = new Coverage.UnitFilter(Coverage.rowStates(gold))
+    val covered = ts.map(filter.covered)
+    val top     = covered.map(_.length).max
+    (top.toDouble / gold.size, CoverSet.unionCoverage(covered, gold.size).toDouble / gold.size)
   }
 
   // ---- One experiment cell -------------------------------------------------
@@ -218,7 +219,7 @@ object Experiments {
     val web  = meanMatch(webTables().map(matchRow), "Benchmark")
     val open = matchRow(openData(scale))
     val synths = for {
-      rows <- scale.synthRows.toVector
+      rows <- SynthRows
       long <- Vector(false, true)
     } yield meanMatch(
       synthTables(rows, long, scale.synthSeeds).map(matchRow),
@@ -244,7 +245,7 @@ object Experiments {
         maxCandidatesPerPlaceholder = 16, maxTransPerRow = 4000),
     )
     val synths = for {
-      rows <- scale.synthRows.toVector
+      rows <- SynthRows
       long <- Vector(false, true)
     } yield {
       val runs = synthTables(rows, long, scale.synthSeeds)

@@ -17,32 +17,33 @@ import scala.collection.mutable
   */
 object RowMatcher {
 
-  /** Matching knobs. The paper sets n0 = 4 (best F1 on its benchmark) and
-    * nMax = 20 (about half a typical row). Matching is case-insensitive, as
-    * in the paper's examples; returned indices refer to the original rows.
+  /** The shortest n-gram length: n0 = 4, the best F1 on the paper's
+    * benchmark (§4.2.1).
     */
-  final case class MatchConfig(n0: Int = 4, nMax: Int = 20, lowercase: Boolean = true)
+  final val N0 = 4
 
-  /** Candidate pairs as (source row index, target row index). */
-  def matchPairs(
-      sourceRows: IndexedSeq[String],
-      targetRows: IndexedSeq[String],
-      cfg: MatchConfig = MatchConfig(),
-  ): Set[(Int, Int)] = {
-    val src = if (cfg.lowercase) sourceRows.map(_.toLowerCase) else sourceRows
-    val tgt = if (cfg.lowercase) targetRows.map(_.toLowerCase) else targetRows
+  /** The longest n-gram length: nMax = 20, about half a typical row (§4.2.1). */
+  final val NMax = 20
+
+  /** Candidate pairs as (source row index, target row index). Matching is
+    * case-insensitive, as in the paper's examples; returned indices refer to
+    * the original rows.
+    */
+  def matchPairs(sourceRows: IndexedSeq[String], targetRows: IndexedSeq[String]): Set[(Int, Int)] = {
+    val src = sourceRows.map(_.toLowerCase)
+    val tgt = targetRows.map(_.toLowerCase)
 
     // Row-presence counts per column and target posting lists, built once for
     // the whole n-range (the inverted index of §4.2.1).
     val srcCount    = mutable.HashMap.empty[String, Int]
     val tgtPostings = mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]]
-    for (r <- src.indices; (_, g) <- NGrams.distinctRange(src(r), cfg.n0, cfg.nMax))
+    for (r <- src.indices; (_, g) <- NGrams.distinctRange(src(r), N0, NMax))
       srcCount.updateWith(g) { c => Some(c.getOrElse(0) + 1) }
-    for (r <- tgt.indices; (_, g) <- NGrams.distinctRange(tgt(r), cfg.n0, cfg.nMax))
+    for (r <- tgt.indices; (_, g) <- NGrams.distinctRange(tgt(r), N0, NMax))
       tgtPostings.getOrElseUpdate(g, mutable.ArrayBuffer.empty) += r
 
     val out = mutable.LinkedHashSet.empty[(Int, Int)]
-    for (r <- src.indices; n <- cfg.n0 to cfg.nMax) {
+    for (r <- src.indices; n <- N0 to NMax) {
       val grams = NGrams.distinct(src(r), n)
       // Argmax of Rscore = 1 / (srcCount · tc) as the smallest integer
       // product, so equal scores compare equal; on ties prefer the
@@ -63,13 +64,5 @@ object RowMatcher {
         for (r2 <- tgtPostings(rep)) out += ((r, r2))
     }
     out.toSet
-  }
-
-  /** Picks source/target direction: the column with the longer average text
-    * is the more informative one and is tagged as source (§4.2.1).
-    */
-  def sourceIsFirst(colA: Seq[String], colB: Seq[String]): Boolean = {
-    def avg(c: Seq[String]) = if (c.isEmpty) 0.0 else c.map(_.length).sum.toDouble / c.size
-    avg(colA) >= avg(colB)
   }
 }

@@ -17,42 +17,26 @@ import repro.matching.{NGrams, RowMatcher}
   */
 object SparkRowMatcher {
 
-  /** Distinct (id, n, gram) triples for one column. */
-  private def grams(
-      df: DataFrame,
-      idCol: String,
-      valCol: String,
-      cfg: RowMatcher.MatchConfig,
-  ): DataFrame = {
+  /** Distinct (id, n, gram) triples for one column, lower-cased. */
+  private def grams(df: DataFrame, idCol: String, valCol: String): DataFrame = {
     val spark = df.sparkSession
     import spark.implicits._
-    val lower = cfg.lowercase
-    val (n0, nMax) = (cfg.n0, cfg.nMax)
     df.select(col(idCol).cast("long"), col(valCol).cast("string"))
       .as[(Long, String)]
       .flatMap { case (id, v) =>
-        val s = if (lower) v.toLowerCase else v
-        NGrams.distinctRange(s, n0, nMax).map { case (n, g) => (id, n, g) }
+        NGrams.distinctRange(v.toLowerCase, RowMatcher.N0, RowMatcher.NMax).map { case (n, g) => (id, n, g) }
       }
       .toDF("id", "n", "gram")
   }
 
   /** Candidate joinable pairs as a DataFrame (src_id, tgt_id).
     *
-    * @param source DataFrame with columns (`srcId`, `srcVal`)
-    * @param target DataFrame with columns (`tgtId`, `tgtVal`)
+    * @param source DataFrame with columns (`src_id`, `src_val`)
+    * @param target DataFrame with columns (`tgt_id`, `tgt_val`)
     */
-  def matchPairs(
-      source: DataFrame,
-      target: DataFrame,
-      srcId: String = "src_id",
-      srcVal: String = "src_val",
-      tgtId: String = "tgt_id",
-      tgtVal: String = "tgt_val",
-      cfg: RowMatcher.MatchConfig = RowMatcher.MatchConfig(),
-  ): DataFrame = {
-    val srcGrams = grams(source, srcId, srcVal, cfg)
-    val tgtGrams = grams(target, tgtId, tgtVal, cfg)
+  def matchPairs(source: DataFrame, target: DataFrame): DataFrame = {
+    val srcGrams = grams(source, "src_id", "src_val")
+    val tgtGrams = grams(target, "tgt_id", "tgt_val")
 
     // IRF denominators: number of rows of each column containing the gram.
     val srcCount = srcGrams.groupBy("n", "gram").agg(count(col("id")) as "sc")
@@ -82,12 +66,11 @@ object SparkRowMatcher {
       spark: SparkSession,
       sourceRows: IndexedSeq[String],
       targetRows: IndexedSeq[String],
-      cfg: RowMatcher.MatchConfig = RowMatcher.MatchConfig(),
   ): Set[(Int, Int)] = {
     import spark.implicits._
     val src = sourceRows.zipWithIndex.map { case (s, i) => (i.toLong, s) }.toDF("src_id", "src_val")
     val tgt = targetRows.zipWithIndex.map { case (s, i) => (i.toLong, s) }.toDF("tgt_id", "tgt_val")
-    matchPairs(src, tgt, cfg = cfg)
+    matchPairs(src, tgt)
       .collect()
       .map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
       .toSet

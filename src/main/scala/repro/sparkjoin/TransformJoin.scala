@@ -4,7 +4,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.Discovery.{DiscoveryConfig, DiscoveryResult}
 import repro.core.{Discovery, Transformation}
-import repro.matching.RowMatcher
 
 /** The end-to-end distributed transformation join (paper §4.2, and the
   * reproduction target: "a distributed DataFrame UDF that generates candidate
@@ -18,14 +17,17 @@ import repro.matching.RowMatcher
 object TransformJoin {
 
   final case class TransformJoinConfig(
-      matching: RowMatcher.MatchConfig = RowMatcher.MatchConfig(),
       discovery: DiscoveryConfig = DiscoveryConfig(),
       /** Cap on candidate pairs fed to discovery (the paper samples 3 000 of
         * Open data's 360 125 matched pairs, §6.4).
         */
       samplePairs: Int = 3000,
-      sampleSeed: Long = 13L,
   )
+
+  /** Seed of the hash that orders the matched pairs before the sample of
+    * §6.4 is taken; it fixes which pairs a run samples.
+    */
+  final val SampleSeed = 13L
 
   final case class TransformJoinResult(
       joined: DataFrame,
@@ -74,7 +76,7 @@ object TransformJoin {
       cfg: TransformJoinConfig = TransformJoinConfig(),
   ): TransformJoinResult = {
     // 1. Candidate joinable row pairs (distributed Algorithm 1).
-    val pairsDf = SparkRowMatcher.matchPairs(source, target, cfg = cfg.matching).cache()
+    val pairsDf = SparkRowMatcher.matchPairs(source, target).cache()
     val nPairs  = pairsDf.count()
 
     // 2. Sample pairs and materialize their strings for discovery. The order
@@ -83,7 +85,7 @@ object TransformJoin {
     val sampled = pairsDf
       .join(source, "src_id")
       .join(target, "tgt_id")
-      .orderBy(xxhash64(col("src_id"), col("tgt_id"), lit(cfg.sampleSeed)), col("src_id"), col("tgt_id"))
+      .orderBy(xxhash64(col("src_id"), col("tgt_id"), lit(SampleSeed)), col("src_id"), col("tgt_id"))
       .limit(cfg.samplePairs)
       .select(col("src_val"), col("tgt_val"))
       .collect()

@@ -69,10 +69,11 @@ class AutoJoinSpec extends SparkSpec {
       ("gosgnach, simon", "s gosgnach"),
       ("walker, james", "j walker"),
     )
-    val res = AutoJoin.run(pairs, AutoJoinConfig(numSubsets = 6))
-    assert(res.nRows == 4)
-    assert(res.topCoverage == 1.0) // one rule generates all rows
-    assert(res.setCoverage == 1.0)
+    val res     = AutoJoin.run(pairs)
+    val filter  = new Coverage.UnitFilter(Coverage.rowStates(pairs))
+    val covered = res.transformations.map(filter.covered)
+    assert(covered.map(_.length).max == 4) // one rule generates all rows
+    assert(CoverSet.unionCoverage(covered, 4) == 4)
     assert(!res.budgetExhausted)
   }
 
@@ -85,11 +86,11 @@ class AutoJoinSpec extends SparkSpec {
 
   test("run on empty input") {
     val res = AutoJoin.run(Vector.empty)
-    assert(res.transformations.isEmpty && res.setCoverage == 0.0)
+    assert(res.transformations.isEmpty && !res.budgetExhausted)
   }
 
   test("run respects the wall-clock budget") {
-    // Targets reuse source characters heavily but need more than maxDepth
+    // Targets reuse source characters heavily but need more than MaxDepth
     // levels to assemble, so the back-tracking search grinds.
     val pairs = Vector(
       ("abcdefghijklmnopqrst", "ab-cd-ef-gh-ij-kl"),

@@ -49,7 +49,7 @@ class CoverSetSpec extends SparkSpec with PropHelper {
     )
     val cover = greedy(cands, 7)
     assert(cover.map(_.t) == Vector(t("a"), t("b")))
-    assert(CoverSet.unionCoverage(cover, 7) == 7)
+    assert(CoverSet.unionCoverage(cover.map(_.covered), 7) == 7)
   }
 
   test("greedy skips transformations adding no new rows") {
@@ -69,7 +69,7 @@ class CoverSetSpec extends SparkSpec with PropHelper {
       (t("c"), Array(3, 4, 5)),
     )
     val cover = greedy(cands, 6)
-    assert(CoverSet.unionCoverage(cover, 6) == 6)
+    assert(CoverSet.unionCoverage(cover.map(_.covered), 6) == 6)
     assert(cover.size <= 3)
   }
 
@@ -80,7 +80,7 @@ class CoverSetSpec extends SparkSpec with PropHelper {
     )
     val cover = greedy(cands, 4, minSupportRows = 2)
     assert(cover.map(_.t) == Vector(t("a")))
-    assert(CoverSet.unionCoverage(cover, 4) == 3)
+    assert(CoverSet.unionCoverage(cover.map(_.covered), 4) == 3)
   }
 
   test("marginal gains are recorded in selection order") {
@@ -153,10 +153,6 @@ class CoverSetSpec extends SparkSpec with PropHelper {
   }
 
   test("unionCoverage counts distinct rows once") {
-    val cover = Vector(
-      CoverSet.Chosen(t("a"), Array(0, 1), 2),
-      CoverSet.Chosen(t("b"), Array(1, 2), 1),
-    )
-    assert(CoverSet.unionCoverage(cover, 4) == 3)
+    assert(CoverSet.unionCoverage(Vector(Array(0, 1), Array(1, 2)), 4) == 3)
   }
 }

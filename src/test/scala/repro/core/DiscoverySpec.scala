@@ -173,7 +173,7 @@ class DiscoverySpec extends SparkSpec with PropHelper {
       def recount(t: Transformation) = pairs.indices.filter(i => t.covers(pairs(i)._1, pairs(i)._2))
       for (c <- res.coverSet) assert(c.covered.toSeq == recount(c.t), c.t)
       for ((t, n) <- res.top) assert(n == recount(t).size, t)
-      assert(res.coverSet.map(_.marginalGain).sum == CoverSet.unionCoverage(res.coverSet, pairs.size))
+      assert(res.coverSet.map(_.marginalGain).sum == CoverSet.unionCoverage(res.coverSet.map(_.covered), pairs.size))
     }
   }
 }

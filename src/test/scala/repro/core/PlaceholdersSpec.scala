@@ -33,55 +33,56 @@ class PlaceholdersSpec extends SparkSpec with PropHelper {
     assert(occurrences("abc", "") == Vector.empty)
   }
 
+  /** The placeholder blocks of the maximal skeleton, as (tStart, text). */
+  private def placeholders(src: String, tgt: String): Vector[(Int, String)] =
+    Skeletons.maximalSkeleton(src, tgt).blocks.collect { case Skeletons.P(t, j) => (j, t) }
+
   test("paper §4.1 example: michael and bowling are placeholders of the email") {
     val src = "bowling, michael"
     val tgt = "michael.bowling@ualberta.ca"
-    val ps  = maximal(src, tgt)
-    val texts = ps.map(_.text)
+    val texts = placeholders(src, tgt).map(_._2)
     assert(texts.contains("michael"))
     assert(texts.contains("bowling"))
   }
 
   test("maximal placeholders are not contained in one another") {
+    // Each placeholder block runs to the longest text at its start that
+    // occurs in the source (less trailing separators), and blocks do not
+    // overlap, so none lies inside another.
     val gen = for {
       s <- Gen.listOfN(15, Gen.oneOf('a', 'b', 'c', ' ')).map(_.mkString)
       t <- Gen.listOfN(10, Gen.oneOf('a', 'b', 'c', 'd', ' ')).map(_.mkString)
     } yield (s, t)
     forAllSampled(gen) { case (s, t) =>
-      val ps = maximal(s, t)
-      for {
-        a <- ps; b <- ps if a != b
-      } assert(!(a.tStart >= b.tStart && a.tStart + a.len <= b.tStart + b.len))
+      val m  = maxMatchLengths(s, t)
+      val ps = placeholders(s, t)
+      for ((j, text) <- ps) {
+        assert(s.contains(text))
+        assert(t.substring(j + text.length, j + m(j)).forall(Skeletons.isSeparator))
+      }
+      for (((a, ta), (b, _)) <- ps.zip(ps.drop(1))) assert(a + ta.length <= b)
     }
   }
 
-  test("every maximal placeholder text occurs in the source at its srcStarts") {
-    val src = "victor robbie kasumba"
-    val tgt = "victor r. kasumba"
-    for (p <- maximal(src, tgt); o <- p.srcStarts)
-      assert(src.substring(o, o + p.len) == p.text)
-  }
-
   test("identical source and target yield one whole-string placeholder") {
-    val ps = maximal("abcdef", "abcdef")
-    assert(ps == Vector(Placeholder(0, 6, "abcdef", Vector(0))))
+    assert(placeholders("abcdef", "abcdef") == Vector((0, "abcdef")))
   }
 
   test("disjoint alphabets yield no placeholders") {
-    assert(maximal("abc", "xyz").isEmpty)
+    assert(placeholders("abc", "xyz").isEmpty)
   }
 
   test("empty target yields no placeholders") {
-    assert(maximal("abc", "").isEmpty)
+    assert(placeholders("abc", "").isEmpty)
   }
 
   test("every substring of a placeholder is itself a placeholder (footnote 2)") {
-    val src = "hello world"
-    val tgt = "xx world yy"
-    val m   = maxMatchLengths(src, tgt)
-    val p   = maximal(src, tgt).head
+    val src        = "hello world"
+    val tgt        = "xx world yy"
+    val m          = maxMatchLengths(src, tgt)
+    val (j, text)  = placeholders(src, tgt).head
     // any substring inside the block also occurs in the source
-    for (a <- p.tStart until p.tStart + p.len)
-      assert(m(a) >= p.tStart + p.len - a)
+    for (a <- j until j + text.length)
+      assert(m(a) >= j + text.length - a)
   }
 }

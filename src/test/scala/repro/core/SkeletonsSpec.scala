@@ -43,8 +43,8 @@ class SkeletonsSpec extends SparkSpec {
   test("skeletons never exceed the placeholder cap") {
     val src = "a b c d e f g h"
     val tgt = "a-b-c-d-e-f"
-    for (sk <- all(src, tgt, maxPlaceholders = 3))
-      assert(sk.placeholderCount <= 3)
+    for (sk <- all(src, tgt))
+      assert(sk.placeholderCount <= MaxPlaceholders)
   }
 
   test("placeholder blocks in the maximal skeleton occur in the source") {

@@ -2,20 +2,18 @@ package repro.core
 
 import repro.SparkSpec
 import TransformationGen._
-import UnitCandidates.UnitConfig
 
 /** Candidate-transformation generation (paper §4.1.4) and its counters. */
 class TransformationGenSpec extends SparkSpec {
 
   test("paper §4.1.4 example: Cartesian product over Substr and Literal candidates") {
     // Row ("Victor Robbie Kasumba", "Victor R. Kasumba"), skeleton
-    // [(P 'Victor R'), (L '. '), (P 'Kasumba')], units limited to
-    // Substr + Literal: the four paper transformations arise, each in
-    // canonical form (adjacent literals merged).
+    // [(P 'Victor R'), (L '. '), (P 'Kasumba')]: among the default units'
+    // products are the four paper transformations over Substr and Literal,
+    // each in canonical form (adjacent literals merged).
     val src = "Victor Robbie Kasumba"
-    val cfg = GenConfig(units = UnitConfig(useSplit = false, useSplitSubstr = false))
     val buf = scala.collection.mutable.LinkedHashSet.empty[Transformation]
-    forRow(src, "Victor R. Kasumba", cfg)(buf.add)
+    forRow(src, "Victor R. Kasumba")(buf.add)
     val expected = Set(
       Transformation(Literal("Victor R. Kasumba")),
       Transformation(Literal("Victor R. "), Substr(14, 21)),
@@ -96,9 +94,13 @@ class TransformationGenSpec extends SparkSpec {
   }
 
   test("placeholder cap limits transformation length") {
-    val pairs = Seq(("a b c d e", "a-b-c-d"))
-    val (distinct, _) = forPairs(pairs, GenConfig(maxPlaceholders = 2))
-    for (t <- distinct) assert(t.placeholderCount <= 2)
+    // Four placeholders in the maximal skeleton; demoting the fused "cd" or
+    // "ef" to a literal gives skeletons of three or two, and the cap drops
+    // the skeleton of four.
+    val pairs = Seq(("ab cd ef gh", "ab-cdX-efY-gh"))
+    val (distinct, _) = forPairs(pairs)
+    assert(distinct.forall(_.placeholderCount <= Skeletons.MaxPlaceholders))
+    assert(distinct.exists(_.placeholderCount == Skeletons.MaxPlaceholders))
   }
 
   test("the all-literal transformation is generated") {

@@ -6,8 +6,8 @@ import UnitCandidates._
 /** Candidate-unit enumeration per placeholder (paper §4.1.4). */
 class UnitCandidatesSpec extends SparkSpec {
 
-  private def cands(src: String, txt: String, cfg: UnitConfig = UnitConfig()) =
-    forPlaceholder(src, txt, Placeholders.occurrences(src, txt), cfg)
+  private def cands(src: String, txt: String, withTwoCharSplitSubstr: Boolean = false) =
+    forPlaceholder(src, txt, Placeholders.occurrences(src, txt), withTwoCharSplitSubstr = withTwoCharSplitSubstr)
 
   test("every candidate actually produces the placeholder text") {
     val src = "bowling, michael"
@@ -17,8 +17,7 @@ class UnitCandidatesSpec extends SparkSpec {
 
   test("every candidate produces the text even with TwoCharSplitSubstr enabled") {
     val src = "prus-czarnecki, andrzej"
-    val cfg = UnitConfig(useTwoCharSplitSubstr = true)
-    for (txt <- Seq("andrzej", "prus", "czarnecki"); u <- cands(src, txt, cfg))
+    for (txt <- Seq("andrzej", "prus", "czarnecki"); u <- cands(src, txt, withTwoCharSplitSubstr = true))
       assert(u(src).contains(txt), s"${u.render} on '$src' should give '$txt'")
   }
 
@@ -63,20 +62,9 @@ class UnitCandidatesSpec extends SparkSpec {
     assert(got.contains(SplitSubstr(',', 2, 0, 2)))
   }
 
-  test("unit-family toggles are honored") {
-    val src = "bowling, michael"
-    val none = UnitConfig(useSubstr = false, useSplit = false, useSplitSubstr = false,
-      useTwoCharSplitSubstr = false, useLiteral = false)
-    assert(cands(src, "michael", none).isEmpty)
-    val onlySubstr = none.copy(useSubstr = true)
-    assert(cands(src, "michael", onlySubstr).forall(_.isInstanceOf[Substr]))
-    val onlyLit = none.copy(useLiteral = true)
-    assert(cands(src, "michael", onlyLit) == Vector(Literal("michael")))
-  }
-
   test("maxCandidates bounds the result") {
     val src = ("abcdefghijklmnopqrstuvwxyz0123456789" * 3)
-    val got = forPlaceholder(src, "abc", Placeholders.occurrences(src, "abc"), UnitConfig(), 5)
+    val got = forPlaceholder(src, "abc", Placeholders.occurrences(src, "abc"), 5)
     assert(got.size <= 5)
   }
 
@@ -88,8 +76,7 @@ class UnitCandidatesSpec extends SparkSpec {
 
   test("TwoCharSplitSubstr candidates produce the text when enabled") {
     val src = "12-34_56"
-    val cfg = UnitConfig(useTwoCharSplitSubstr = true)
-    val got = cands(src, "34", cfg)
+    val got = cands(src, "34", withTwoCharSplitSubstr = true)
     val two = got.collect { case t: TwoCharSplitSubstr => t }
     assert(two.nonEmpty)
     for (t <- two) assert(t(src).contains("34"))

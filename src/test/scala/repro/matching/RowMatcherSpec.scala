@@ -32,7 +32,7 @@ class RowMatcherSpec extends SparkSpec {
   }
 
   test("matching is case-insensitive by default") {
-    val pairs = matchPairs(Vector("Bowling, Michael"), Vector("m BOWLING"), MatchConfig(n0 = 4))
+    val pairs = matchPairs(Vector("Bowling, Michael"), Vector("m BOWLING"))
     assert(pairs.contains((0, 0)))
   }
 
@@ -62,11 +62,6 @@ class RowMatcherSpec extends SparkSpec {
     val src = Vector("abcz")
     val tgt = Vector("abXY") // shares only "ab" (length 2 < n0=4)
     assert(matchPairs(src, tgt).isEmpty)
-  }
-
-  test("sourceIsFirst picks the longer column") {
-    assert(sourceIsFirst(Vector("long text here"), Vector("ab")))
-    assert(!sourceIsFirst(Vector("ab"), Vector("long text here")))
   }
 
   test("deterministic across runs") {
