@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.experiments.Experiments
-import repro.experiments.Experiments.{DatasetRun, GoldenMatching, NGramMatching, Scale}
+import repro.experiments.Experiments.{DatasetRun, Scale}
 
 /** Shared, lazily-computed experiment runs: Tables 2 and 3 are two views of
   * the same discovery runs, so the benches compute each (dataset, matching)
@@ -12,8 +12,7 @@ object BenchRuns {
 
   lazy val cells: Vector[DatasetRun] = {
     val t0 = System.nanoTime()
-    val out = Vector(NGramMatching, GoldenMatching)
-      .flatMap(m => Experiments.allCells(scale, m))
+    val out = Experiments.cells(scale)
     Console.err.println(f"[BenchRuns] all cells computed in ${(System.nanoTime() - t0) / 1e9}%.1f s")
     out
   }

@@ -2,12 +2,11 @@ package repro.jobs
 
 import repro.experiments.{Experiments, Tables}
 
-/** spark-submit entrypoint reproducing Table 1 (row matching performance).
+/** Entrypoint reproducing Table 1 (row matching performance on the six
+  * evaluation sets). Runs locally; no Spark.
   *
   * Usage: spark-submit --class repro.jobs.Table1Job repro.jar
   * Scale knobs via env: REPRO_SYNTH_SEEDS, REPRO_OPEN_ROWS.
-  * (Table 1 is matching-only and needs no cluster work, but keeping it a
-  * spark-submit job gives every table the same operational surface.)
   */
 object Table1Job {
   def main(args: Array[String]): Unit = {

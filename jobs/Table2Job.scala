@@ -12,8 +12,6 @@ import repro.experiments.{Experiments, Tables}
 object Table2Job {
   def main(args: Array[String]): Unit = {
     val scale = Experiments.Scale()
-    val cells = Vector(Experiments.NGramMatching, Experiments.GoldenMatching)
-      .flatMap(m => Experiments.allCells(scale, m))
-    println(Tables.renderTable2(cells))
+    println(Tables.renderTable2(Experiments.cells(scale)))
   }
 }

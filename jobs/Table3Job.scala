@@ -11,8 +11,6 @@ import repro.experiments.{Experiments, Tables}
 object Table3Job {
   def main(args: Array[String]): Unit = {
     val scale = Experiments.Scale(runAutoJoin = false)
-    val cells = Vector(Experiments.NGramMatching, Experiments.GoldenMatching)
-      .flatMap(m => Experiments.allCells(scale, m))
-    println(Tables.renderTable3(cells))
+    println(Tables.renderTable3(Experiments.cells(scale)))
   }
 }

@@ -144,10 +144,11 @@ object AutoJoin {
       cfg: AutoJoinConfig = AutoJoinConfig(),
   ): (Option[Transformation], Boolean) = {
     val budget = new Budget(cfg.maxNodes, System.nanoTime() + cfg.timeLimitMs * 1000000L)
-    val res = search(subset.map(_._1), subset.map(_._2), 1, budget)
-      .map(units => Transformation(units))
-    (res, budget.exhausted)
+    (find(subset, budget), budget.exhausted)
   }
+
+  private def find(subset: IndexedSeq[(String, String)], budget: Budget): Option[Transformation] =
+    search(subset.map(_._1), subset.map(_._2), 1, budget).map(units => Transformation(units))
 
   /** Full baseline run: [[NumSubsets]] random subsets, one transformation
     * attempt each; the union of the found transformations is the returned
@@ -160,25 +161,21 @@ object AutoJoin {
       cfg: AutoJoinConfig = AutoJoinConfig(),
       seed: Long = 7L,
   ): AutoJoinResult = {
-    val t0   = System.nanoTime()
-    val rnd  = new scala.util.Random(seed)
-    val deadline = t0 + cfg.timeLimitMs * 1000000L
-    var exhausted = false
-    val found = Vector.newBuilder[Transformation]
+    val t0     = System.nanoTime()
+    val rnd    = new scala.util.Random(seed)
+    val budget = new Budget(cfg.maxNodes, t0 + cfg.timeLimitMs * 1000000L)
+    val found  = Vector.newBuilder[Transformation]
     if (pairs.nonEmpty) {
-      for (_ <- 1 to NumSubsets if !exhausted) {
+      for (_ <- 1 to NumSubsets if !budget.exhausted) {
         // Sample rows without replacement — a degenerate single-row subset
         // would always be "covered" by a literal of its own target.
         val subset = rnd
           .shuffle(pairs.indices.toVector)
           .take(math.min(SubsetSize, pairs.size))
           .map(pairs(_))
-        val remainingMs = math.max(1L, (deadline - System.nanoTime()) / 1000000L)
-        val (t, ex) = findForSubset(subset, cfg.copy(timeLimitMs = remainingMs))
-        exhausted ||= ex
-        t.foreach(found += _)
+        find(subset, budget).foreach(found += _)
       }
     }
-    AutoJoinResult(found.result().distinct, (System.nanoTime() - t0) / 1000000L, exhausted)
+    AutoJoinResult(found.result().distinct, (System.nanoTime() - t0) / 1000000L, budget.exhausted)
   }
 }

@@ -33,20 +33,11 @@ object SynthJoin {
   /** Gold transformations per table: 3 (§6.1). */
   final val GoldRules = 3
 
-  final case class SynthConfig(
-      rows: Int,
-      minLen: Int = 20,
-      maxLen: Int = 35,
-      seed: Long = 42L,
-  )
-
   /** Synth-N (short rows). */
-  def synth(rows: Int, seed: Long = 42L): JoinDataset =
-    generate(SynthConfig(rows, 20, 35, seed = seed))
+  def synth(rows: Int, seed: Long = 42L): JoinDataset = generate(rows, 20, 35, seed, "")
 
   /** Synth-NL (long rows). */
-  def synthL(rows: Int, seed: Long = 42L): JoinDataset =
-    generate(SynthConfig(rows, 40, 70, seed = seed), nameSuffix = "L")
+  def synthL(rows: Int, seed: Long = 42L): JoinDataset = generate(rows, 40, 70, seed, "L")
 
   private def randomLiteral(rnd: Random): Literal =
     Literal(Vector.fill(1 + rnd.nextInt(5))(LiteralPool(rnd.nextInt(LiteralPool.size))).mkString)
@@ -83,8 +74,8 @@ object SynthJoin {
     Transformation(arrangement)
   }
 
-  private def randomSource(rnd: Random, cfg: SynthConfig, delims: Vector[Char]): String = {
-    val len  = cfg.minLen + rnd.nextInt(cfg.maxLen - cfg.minLen + 1)
+  private def randomSource(rnd: Random, minLen: Int, maxLen: Int, delims: Vector[Char]): String = {
+    val len  = minLen + rnd.nextInt(maxLen - minLen + 1)
     val body = Array.fill(len)(BodyAlphabet(rnd.nextInt(BodyAlphabet.size)))
     // Inject each delimiter twice at distinct interior positions >= delimFloor.
     // Sampling from a stride-2 grid guarantees a gap of at least 2 (no split
@@ -96,11 +87,16 @@ object SynthJoin {
     new String(body)
   }
 
-  def generate(cfg: SynthConfig, nameSuffix: String = ""): JoinDataset = {
-    val rnd    = new Random(cfg.seed)
+  /** `rows` source rows of length U[`minLen`, `maxLen`], named
+    * `Synth-<rows><nameSuffix>`.
+    */
+  private def generate(
+      rows: Int, minLen: Int, maxLen: Int, seed: Long, nameSuffix: String,
+  ): JoinDataset = {
+    val rnd    = new Random(seed)
     val delims = rnd.shuffle(DelimPool).take(2)
-    val golds  = Vector.fill(GoldRules)(randomTransformation(rnd, cfg.minLen, delims))
-    val source = Vector.fill(cfg.rows)(randomSource(rnd, cfg, delims))
-    JoinDataset.fromGoldRules(s"Synth-${cfg.rows}$nameSuffix", source, golds, rnd, _.nextInt(golds.size))
+    val golds  = Vector.fill(GoldRules)(randomTransformation(rnd, minLen, delims))
+    val source = Vector.fill(rows)(randomSource(rnd, minLen, maxLen, delims))
+    JoinDataset.fromGoldRules(s"Synth-$rows$nameSuffix", source, golds, rnd, _.nextInt(golds.size))
   }
 }

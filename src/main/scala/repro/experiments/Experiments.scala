@@ -4,6 +4,7 @@ import repro.autojoin.AutoJoin
 import repro.autojoin.AutoJoin.AutoJoinConfig
 import repro.core.{Coverage, CoverSet, Discovery, Transformation}
 import repro.core.Discovery.DiscoveryConfig
+import repro.core.TransformationGen.GenConfig
 import repro.data._
 import repro.matching.{MatchMetrics, RowMatcher}
 
@@ -49,14 +50,10 @@ object Experiments {
       budgetExceeded: Boolean,
   )
 
-  /** Everything measured for one (dataset, matching) cell. */
+  /** Everything Tables 2 and 3 print for one (dataset, matching) cell. */
   final case class DatasetRun(
       dataset: String,
       matching: String,
-      nRows: Double,
-      avgLen: Double,
-      prf: MatchMetrics.PRF,
-      nInputPairs: Int,
       ours: MethodOut,
       autojoin: Option[MethodOut],
       pruning: Discovery.PruningStats,
@@ -64,126 +61,123 @@ object Experiments {
 
   // ---- Datasets ------------------------------------------------------------
 
-  def webTables(): Vector[JoinDataset] = WebBenchSim.all()
+  /** One §6.1 dataset as the tables evaluate it: a table row is the mean over
+    * `tables`, each discovered with `config` on at most `sampleCap` matched
+    * pairs.
+    */
+  final case class EvalSet(
+      name: String,
+      tables: Vector[JoinDataset],
+      config: DiscoveryConfig = DiscoveryConfig(),
+      sampleCap: Int = Int.MaxValue,
+  )
 
-  def openData(scale: Scale): JoinDataset = OpenDataSim.generate(scale.openRows)
-
-  def synthTables(rows: Int, long: Boolean, seeds: Int): Vector[JoinDataset] =
-    (1 to seeds).toVector.map { s =>
-      if (long) SynthJoin.synthL(rows, seed = 1000L + s) else SynthJoin.synth(rows, seed = s)
+  /** The six evaluation datasets of §6.1 in table order: the 31 benchmark
+    * tables, open data, then each synth configuration over `synthSeeds`
+    * seeds (Synth-NL tables are seeded `1000 + s`).
+    */
+  def evalSets(scale: Scale): Vector[EvalSet] = {
+    // Open data: false matches flood the candidate space (the paper's own
+    // run on this dataset took 23 386 s). The sampled noisy pairs run with
+    // tight generation caps, matching the paper's observed ~1.2k generated
+    // per row on real addresses.
+    val open = EvalSet(
+      "Open data", Vector(OpenDataSim.generate(scale.openRows)),
+      DiscoveryConfig(
+        GenConfig(maxCandidatesPerPlaceholder = 16, maxTransPerRow = 4000), supportThreshold = 0.01),
+      scale.openSamplePairs,
+    )
+    val seeds = (1 to scale.synthSeeds).toVector
+    val synths = SynthRows.flatMap { rows =>
+      Vector(
+        EvalSet(s"Synth-$rows", seeds.map(s => SynthJoin.synth(rows, seed = s))),
+        EvalSet(s"Synth-${rows}L", seeds.map(s => SynthJoin.synthL(rows, seed = 1000L + s))),
+      )
     }
+    Vector(EvalSet("Benchmark", WebBenchSim.all()), open) ++ synths
+  }
 
   // ---- Matching + sampling -------------------------------------------------
 
-  /** Candidate pairs under the requested matching, plus the P/R/F1 of the
-    * matching itself (always computed from the n-gram matcher so Table 1 is
-    * independent of the discovery run).
+  /** Fixes which matched pairs a capped set samples (open data). */
+  final val SampleSeed = 17L
+
+  /** Candidate pairs under the requested matching, sorted, then sampled down
+    * to `sampleCap` by a shuffle seeded with [[SampleSeed]].
     */
-  def matched(
-      ds: JoinDataset,
-      mode: Matching,
-      sampleCap: Int,
-      seed: Long = 17L,
-  ): (Vector[(String, String)], MatchMetrics.PRF, Int) = {
-    val predicted = RowMatcher.matchPairs(ds.source, ds.target)
-    val prf       = MatchMetrics.score(predicted, ds.goldPairs)
-    val pairsIdx = mode match {
-      case NGramMatching  => predicted.toVector.sortBy(identity)
-      case GoldenMatching => ds.goldPairs.toVector.sortBy(identity)
-    }
+  def matched(ds: JoinDataset, mode: Matching, sampleCap: Int): Vector[(String, String)] = {
+    val pairs = (mode match {
+      case NGramMatching  => RowMatcher.matchPairs(ds.source, ds.target)
+      case GoldenMatching => ds.goldPairs
+    }).toVector.sorted
     val sampled =
-      if (pairsIdx.size <= sampleCap) pairsIdx
-      else new scala.util.Random(seed).shuffle(pairsIdx).take(sampleCap)
-    (ds.materialize(sampled), prf, pairsIdx.size)
-  }
-
-  // ---- Coverage against the gold matching ----------------------------------
-
-  /** Coverage of a transformation set measured on the dataset's gold pairs —
-    * the denominator every method shares, so noisy matchings cannot inflate
-    * their own score.
-    */
-  def goldCoverage(ds: JoinDataset, ts: Seq[Transformation]): (Double, Double) = {
-    val gold = ds.goldPairStrings
-    if (gold.isEmpty || ts.isEmpty) return (0.0, 0.0)
-    val filter  = new Coverage.UnitFilter(Coverage.rowStates(gold))
-    val covered = ts.map(filter.covered)
-    val top     = covered.map(_.length).max
-    (top.toDouble / gold.size, CoverSet.unionCoverage(covered, gold.size).toDouble / gold.size)
+      if (pairs.size <= sampleCap) pairs
+      else new scala.util.Random(SampleSeed).shuffle(pairs).take(sampleCap)
+    ds.materialize(sampled)
   }
 
   // ---- One experiment cell -------------------------------------------------
 
-  /** Runs our discovery (and optionally Auto-Join) on one dataset under one
-    * matching mode.
+  /** Runs our discovery (and optionally Auto-Join) on one table of `set`
+    * under one matching mode. Both methods are scored on the table's gold
+    * pairs — the denominator every method shares, so noisy matchings cannot
+    * inflate their own score.
     */
-  def runDataset(
-      ds: JoinDataset,
-      mode: Matching,
-      scale: Scale,
-      supportThreshold: Double = 0.0,
-      sampleCap: Int = Int.MaxValue,
-      gen: repro.core.TransformationGen.GenConfig = repro.core.TransformationGen.GenConfig(),
-  ): DatasetRun = {
-    val (pairs, prf, nMatched) = matched(ds, mode, sampleCap)
-    val cfg = DiscoveryConfig(gen = gen, supportThreshold = supportThreshold)
+  def runDataset(ds: JoinDataset, mode: Matching, set: EvalSet, scale: Scale): DatasetRun = {
+    val pairs  = matched(ds, mode, set.sampleCap)
+    val gold   = ds.goldPairStrings
+    val filter = new Coverage.UnitFilter(Coverage.rowStates(gold))
+    def goldCoverage(ts: Seq[Transformation]): (Double, Double) = {
+      val covered = ts.map(filter.covered)
+      val n       = math.max(1, gold.size).toDouble
+      (covered.map(_.length).maxOption.getOrElse(0) / n,
+        CoverSet.unionCoverage(covered, gold.size) / n)
+    }
 
-    val disc = Discovery.discover(pairs, cfg)
+    val disc              = Discovery.discover(pairs, set.config)
     val oursTs            = disc.transformations
-    val (oursTop, oursSet) = goldCoverage(ds, if (oursTs.nonEmpty) oursTs else disc.top.map(_._1).toVector)
+    val (oursTop, oursSet) = goldCoverage(if (oursTs.nonEmpty) oursTs else disc.top.map(_._1).toVector)
 
-    val aj = if (scale.runAutoJoin) {
-      val res = AutoJoin.run(
-        pairs.toIndexedSeq,
-        AutoJoinConfig(timeLimitMs = scale.autoJoinBudgetMs),
-      )
-      val (ajTop, ajSet) = goldCoverage(ds, res.transformations)
-      Some(MethodOut(ajTop, ajSet, res.transformations.size.toDouble,
-        res.elapsedMs / 1000.0, res.budgetExhausted))
-    } else None
+    val aj = Option.when(scale.runAutoJoin) {
+      val res            = AutoJoin.run(pairs, AutoJoinConfig(timeLimitMs = scale.autoJoinBudgetMs))
+      val (ajTop, ajSet) = goldCoverage(res.transformations)
+      MethodOut(ajTop, ajSet, res.transformations.size.toDouble,
+        res.elapsedMs / 1000.0, res.budgetExhausted)
+    }
 
     DatasetRun(
       dataset = ds.name,
       matching = mode.label,
-      nRows = ds.source.size.toDouble,
-      avgLen = ds.avgSourceLen,
-      prf = prf,
-      nInputPairs = nMatched,
       ours = MethodOut(oursTop, oursSet, oursTs.size.toDouble, disc.elapsedMs / 1000.0, budgetExceeded = false),
       autojoin = aj,
       pruning = disc.stats,
     )
   }
 
-  /** Mean of several runs (used for the 31 benchmark tables and the synth
-    * seeds; the paper reports means the same way).
+  /** Mean of several runs (the 31 benchmark tables and the synth seeds; the
+    * paper reports means the same way). The mean of one run is that run.
     */
   def mean(runs: Seq[DatasetRun], name: String): DatasetRun = {
     require(runs.nonEmpty)
     def avg(f: DatasetRun => Double)  = average(runs)(f)
+    def avgL(f: DatasetRun => Long)   = math.round(avg(f(_).toDouble))
     def avgM(f: DatasetRun => MethodOut): MethodOut = MethodOut(
       avg(f(_).topCov), avg(f(_).setCov), avg(f(_).nTrans), avg(f(_).timeSec),
       runs.exists(f(_).budgetExceeded),
     )
-    val aj =
-      if (runs.forall(_.autojoin.isDefined)) Some(avgM(_.autojoin.get)) else None
     DatasetRun(
       dataset = name,
       matching = runs.head.matching,
-      nRows = avg(_.nRows),
-      avgLen = avg(_.avgLen),
-      prf = meanPRF(runs.map(_.prf)),
-      nInputPairs = math.round(avg(_.nInputPairs.toDouble)).toInt,
       ours = avgM(_.ours),
-      autojoin = aj,
+      autojoin = Option.when(runs.forall(_.autojoin.isDefined))(avgM(_.autojoin.get)),
       pruning = Discovery.PruningStats(
-        math.round(avg(_.pruning.generated.toDouble)),
-        math.round(avg(_.pruning.toTry.toDouble)),
-        math.round(avg(_.pruning.cacheHits.toDouble)),
-        math.round(avg(_.pruning.cacheMisses.toDouble)),
+        avgL(_.pruning.generated), avgL(_.pruning.toTry),
+        avgL(_.pruning.cacheHits), avgL(_.pruning.cacheMisses),
       ),
     )
   }
+
+  private def average[A](xs: Seq[A])(f: A => Double): Double = xs.map(f).sum / xs.size
 
   /** Matching-only measurement for Table 1 (no discovery, no Auto-Join). */
   final case class MatchRow(
@@ -194,64 +188,25 @@ object Experiments {
       prf: MatchMetrics.PRF,
   )
 
-  private def matchRow(ds: JoinDataset): MatchRow = {
-    val predicted = RowMatcher.matchPairs(ds.source, ds.target)
-    val prf       = MatchMetrics.score(predicted, ds.goldPairs)
-    MatchRow(ds.name, ds.source.size.toDouble, ds.avgSourceLen, predicted.size.toDouble, prf)
-  }
-
-  private def meanMatch(rows: Seq[MatchRow], name: String): MatchRow = {
-    def avg(f: MatchRow => Double) = average(rows)(f)
-    MatchRow(name, avg(_.nRows), avg(_.avgLen), avg(_.nPairs), meanPRF(rows.map(_.prf)))
-  }
-
-  private def average[A](xs: Seq[A])(f: A => Double): Double = xs.map(f).sum / xs.size
-
-  /** Field-wise mean of matching scores; the pair counts are rounded. */
-  private def meanPRF(prfs: Seq[MatchMetrics.PRF]): MatchMetrics.PRF = {
-    def avg(f: MatchMetrics.PRF => Double) = average(prfs)(f)
-    MatchMetrics.PRF(avg(_.precision), avg(_.recall), avg(_.f1),
-      math.round(avg(_.predicted.toDouble)).toInt, math.round(avg(_.gold.toDouble)).toInt)
-  }
-
-  /** Table 1 rows: n-gram row matching quality on all six datasets. */
-  def table1(scale: Scale): Vector[MatchRow] = {
-    val web  = meanMatch(webTables().map(matchRow), "Benchmark")
-    val open = matchRow(openData(scale))
-    val synths = for {
-      rows <- SynthRows
-      long <- Vector(false, true)
-    } yield meanMatch(
-      synthTables(rows, long, scale.synthSeeds).map(matchRow),
-      if (long) s"Synth-${rows}L" else s"Synth-$rows",
-    )
-    Vector(web, open) ++ synths
-  }
-
-  /** The six evaluation datasets of §6.1, grouped: benchmark tables come as
-    * 31 individual runs to be averaged, synth configurations as `synthSeeds`
-    * runs each.
+  /** Table 1 rows: n-gram row matching quality on all six datasets, each
+    * the field-wise mean over its tables.
     */
-  def allCells(scale: Scale, mode: Matching): Vector[DatasetRun] = {
-    val web = webTables().map(runDataset(_, mode, scale))
-    // Open data: false matches flood the candidate space (the paper's own
-    // run on this dataset took 23 386 s). The sampled noisy pairs run with
-    // tight generation caps, matching the paper's observed ~1.2k generated
-    // per row on real addresses.
-    val open = runDataset(
-      openData(scale), mode, scale,
-      supportThreshold = 0.01, sampleCap = scale.openSamplePairs,
-      gen = repro.core.TransformationGen.GenConfig(
-        maxCandidatesPerPlaceholder = 16, maxTransPerRow = 4000),
-    )
-    val synths = for {
-      rows <- SynthRows
-      long <- Vector(false, true)
-    } yield {
-      val runs = synthTables(rows, long, scale.synthSeeds)
-        .map(runDataset(_, mode, scale))
-      mean(runs, if (long) s"Synth-${rows}L" else s"Synth-$rows")
+  def table1(scale: Scale): Vector[MatchRow] = evalSets(scale).map { set =>
+    val rows = set.tables.map { ds =>
+      val predicted = RowMatcher.matchPairs(ds.source, ds.target)
+      MatchRow(ds.name, ds.source.size.toDouble, ds.avgSourceLen, predicted.size.toDouble,
+        MatchMetrics.score(predicted, ds.goldPairs))
     }
-    Vector(mean(web, "Benchmark"), open) ++ synths
+    def avg(f: MatchRow => Double) = average(rows)(f)
+    MatchRow(set.name, avg(_.nRows), avg(_.avgLen), avg(_.nPairs),
+      MatchMetrics.PRF(avg(_.prf.precision), avg(_.prf.recall), avg(_.prf.f1)))
   }
+
+  /** Every evaluation set under one matching: one Table 2/3 row each. */
+  def allCells(scale: Scale, mode: Matching): Vector[DatasetRun] =
+    evalSets(scale).map(set => mean(set.tables.map(runDataset(_, mode, set, scale)), set.name))
+
+  /** Tables 2 and 3: every evaluation set under n-gram, then golden matching. */
+  def cells(scale: Scale): Vector[DatasetRun] =
+    Vector(NGramMatching, GoldenMatching).flatMap(allCells(scale, _))
 }

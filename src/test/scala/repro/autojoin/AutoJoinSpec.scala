@@ -89,6 +89,19 @@ class AutoJoinSpec extends SparkSpec {
     assert(res.transformations.isEmpty && !res.budgetExhausted)
   }
 
+  test("run: one node budget spans every subset of the table") {
+    // Split(' ', 1) covers every subset at its first search node (the target
+    // lengths differ, so no Substr ties with it): each subset alone fits in
+    // one node, six subsets together do not.
+    val pairs = Vector(("alpha beta", "alpha"), ("gam delta", "gam"), ("rhox kappa", "rhox"))
+    val one   = AutoJoinConfig(maxNodes = 1)
+    for (subset <- pairs.combinations(2))
+      assert(findForSubset(subset, one) == ((Some(Transformation(Split(' ', 1))), false)))
+    val res = AutoJoin.run(pairs, one)
+    assert(res.budgetExhausted)
+    assert(res.transformations.size == 1)
+  }
+
   test("run respects the wall-clock budget") {
     // Targets reuse source characters heavily but need more than MaxDepth
     // levels to assemble, so the back-tracking search grinds.

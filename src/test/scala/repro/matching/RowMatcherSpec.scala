@@ -72,7 +72,7 @@ class RowMatcherSpec extends SparkSpec {
 
   test("metrics: perfect, empty, and partial predictions") {
     val gold = Set((0, 0), (1, 1))
-    assert(MatchMetrics.score(gold, gold) == MatchMetrics.PRF(1.0, 1.0, 1.0, 2, 2))
+    assert(MatchMetrics.score(gold, gold) == MatchMetrics.PRF(1.0, 1.0, 1.0))
     val none = MatchMetrics.score(Set.empty, gold)
     assert(none.precision == 0.0 && none.recall == 0.0 && none.f1 == 0.0)
     val part = MatchMetrics.score(Set((0, 0), (5, 5)), gold)
