@@ -11,7 +11,7 @@ import repro.sparkjoin.TransformJoin
   */
 object TransformJoinDemo {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("transform-join-demo")
       .config("spark.serializer", "org.apache.spark.serializer.KryoSerializer")

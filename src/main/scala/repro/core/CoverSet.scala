@@ -34,32 +34,66 @@ object CoverSet {
     * data; §5.3 argues at least two supporting rows).
     *
     * Lazy greedy (Minoux 1978): a candidate's row count bounds its marginal
-    * gain, so candidates wait in a heap on that bound, and only the top one
-    * has its gain recomputed. It is taken when the gain still equals its
-    * bound and re-queued with the lower bound otherwise. The result is the
-    * naive greedy's cover, but `covered` runs only for the few candidates
-    * that reach the top.
+    * gain, so candidates wait in a heap on that bound, and only the top ones
+    * have their gain recomputed. The heap orders by the first two keys of
+    * [[order]] (bound, then placeholders), and the entries tied with the top
+    * on both are taken out together: those whose gain fell below the bound
+    * go back with the gain as their bound, and the rest are taken in
+    * rendering order while their gain still equals the bound. The result is
+    * the naive greedy's cover under [[order]], but `covered` runs only for
+    * candidates that reach the top, and only those that still hold their
+    * bound there are rendered.
     */
   def greedy(
       candidates: Seq[(Transformation, Int)],
       nRows: Int,
       minSupportRows: Int = 2,
   )(covered: Transformation => Array[Int]): Vector[Chosen] = {
-    val heap = mutable.PriorityQueue.from(
-      candidates.iterator.filter(_._2 >= math.max(1, minSupportRows))
-    )(order.reverse)
-    val rowsOf    = mutable.HashMap.empty[Transformation, Array[Int]]
+    val cands = candidates.filter(_._2 >= math.max(1, minSupportRows)).toVector
+    greedyByIndex(cands.map(_._1).toArray, cands.map(_._2).toArray, nRows)(i => covered(cands(i)._1))
+  }
+
+  /** [[greedy]] over candidates named by index: `ts(i)` covers `rowCounts(i)`
+    * rows, listed by `covered(i)`. Every candidate enters the heap, so the
+    * caller applies the support floor.
+    */
+  private[core] def greedyByIndex(
+      ts: Array[Transformation],
+      rowCounts: Array[Int],
+      nRows: Int,
+  )(covered: Int => Array[Int]): Vector[Chosen] = {
+    val bound  = rowCounts.clone()
+    val places = Array.tabulate(ts.length)(ts(_).placeholderCount)
+    val rowsOf = new Array[Array[Int]](ts.length)
+    def rows(i: Int): Array[Int] = {
+      if (rowsOf(i) == null) rowsOf(i) = covered(i)
+      rowsOf(i)
+    }
+    val heap = new java.util.PriorityQueue[Integer](math.max(1, ts.length), (a: Integer, b: Integer) =>
+      if (bound(a) != bound(b)) Integer.compare(bound(b), bound(a)) else Integer.compare(places(a), places(b)))
+    ts.indices.foreach(heap.add(_))
     val uncovered = new java.util.BitSet(nRows)
     uncovered.set(0, nRows)
+    def gain(i: Int) = rows(i).count(uncovered.get)
     val chosen = Vector.newBuilder[Chosen]
-    while (heap.nonEmpty && !uncovered.isEmpty) {
-      val (t, bound) = heap.dequeue()
-      val rows       = rowsOf.getOrElseUpdate(t, covered(t))
-      val gain       = rows.count(uncovered.get)
-      if (gain == bound) {
-        chosen += Chosen(t, rows, gain)
-        rows.foreach(uncovered.clear)
-      } else if (gain > 0) heap.enqueue((t, gain))
+    while (!heap.isEmpty && !uncovered.isEmpty) {
+      val top  = heap.poll().intValue
+      val tied = mutable.ArrayBuffer(top)
+      while (!heap.isEmpty && bound(heap.peek) == bound(top) && places(heap.peek) == places(top))
+        tied += heap.poll().intValue
+      val holding = mutable.ArrayBuffer.empty[Int]
+      for (i <- tied) {
+        val g = gain(i)
+        if (g == bound(i)) holding += i
+        else if (g > 0) { bound(i) = g; heap.add(i) }
+      }
+      for (i <- holding.sortBy(ts(_).render)) {
+        val g = gain(i)
+        if (g == bound(i)) {
+          chosen += Chosen(ts(i), rows(i), g)
+          rows(i).foreach(uncovered.clear)
+        } else if (g > 0) { bound(i) = g; heap.add(i) }
+      }
     }
     chosen.result()
   }

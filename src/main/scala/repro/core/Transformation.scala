@@ -3,16 +3,15 @@ package repro.core
 /** A transformation is a sequence of units whose outputs, each applied to the
   * same source string, are concatenated (paper Definition 2).
   *
-  * Case-class structural equality doubles as the duplicate-removal key
-  * (§4.1.5): transformations generated independently from different rows
-  * collapse in a hash set / Spark `distinct`.
+  * Equal unit sequences are equal transformations; generation removes
+  * duplicates (§4.1.5) on the same key, as interned id sequences
+  * ([[Candidates]]).
   */
 final case class Transformation(units: Vector[TransformationUnit]) extends Serializable {
 
-  // Duplicate removal (§4.1.5) probes a hash set once per generated
-  // transformation; caching the structural hash once at construction keeps
-  // each probe O(1) without a recursive re-hash.
-  override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
+  // Cached at construction: hash-keyed lookups (the greedy cover's row
+  // memo, callers' sets) then need no recursive re-hash.
+  override val hashCode: Int = scala.util.hashing.MurmurHash3.caseClassHash(this)
 
   /** Applies every unit to `input` and concatenates; `None` if any unit is
     * undefined on `input`.

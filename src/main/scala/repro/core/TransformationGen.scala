@@ -1,12 +1,13 @@
 package repro.core
 
-import repro.core.Skeletons.{L, P, Skeleton}
+import repro.core.Skeletons.{L, P}
 
 /** Per-row candidate-transformation generation (paper §4.1.4).
   *
   * For each skeleton of a row, every placeholder block is replaced by its
   * candidate-unit set and every literal block by its `Literal`; the Cartesian
-  * product across blocks yields the row's candidate transformations.
+  * product across blocks yields the row's candidate transformations. Units
+  * are interned and candidates deduplicated as id sequences ([[Candidates]]).
   */
 object TransformationGen {
 
@@ -40,73 +41,74 @@ object TransformationGen {
   }
   object GenStats { val zero: GenStats = GenStats(0L, 0L) }
 
-  /** Candidate unit lists for each block of a skeleton. */
-  private def blockCandidates(
-      source: String,
-      skeleton: Skeleton,
-      cfg: GenConfig,
-  ): Vector[Vector[TransformationUnit]] =
-    skeleton.blocks.map {
-      case L(t) => Vector(Literal(t))
-      case P(t, _) =>
-        UnitCandidates.forPlaceholder(
-          source,
-          t,
-          Placeholders.occurrences(source, t),
-          cfg.maxCandidatesPerPlaceholder,
-        )
-    }
-
-  /** The canonical transformation of a product element: adjacent literals
-    * merged into one (a placeholder's `Literal` choice can abut literal
-    * blocks), so one output function is one transformation.
+  /** Generates the distinct candidate transformations of a whole input, in
+    * canonical form: adjacent literals merged into one (a placeholder's
+    * `Literal` choice can abut literal blocks), so one output function is
+    * one candidate. Candidates keep their first-occurrence order: by row,
+    * then skeleton, then position in the skeleton's Cartesian product.
+    * `generated` counts product elements, before literal merging and
+    * deduplication.
     */
-  private def canonical(units: Iterator[TransformationUnit]): Transformation = {
-    val out = Vector.newBuilder[TransformationUnit]
-    var run: Literal = null
-    for (u <- units) u match {
-      case l: Literal => run = if (run == null) l else Literal(run.str + l.str)
-      case _ =>
-        if (run != null) { out += run; run = null }
-        out += u
-    }
-    if (run != null) out += run
-    Transformation(out.result())
+  private[core] def generate(
+      pairs: Seq[(String, String)],
+      cfg: GenConfig = GenConfig(),
+  ): (Candidates, GenStats) = {
+    val b     = new Candidates.Builder(distinct = true)
+    var stats = GenStats.zero
+    for ((s, t) <- pairs) stats = stats + forRow(b, s, t, cfg)
+    (b.result(), stats)
   }
 
-  /** Generates all candidate transformations for one (source, target) pair,
-    * in canonical form, feeding each into `sink` (typically a shared dedup
-    * hash set). Returns the generation counters for this row; `generated`
-    * counts product elements, before literal merging and deduplication.
-    */
-  def forRow(
-      source: String,
-      target: String,
-      cfg: GenConfig = GenConfig(),
-  )(sink: Transformation => Unit): GenStats = {
+  /** Adds one (source, target) pair's candidates to `b`; returns its counters. */
+  private def forRow(b: Candidates.Builder, source: String, target: String, cfg: GenConfig): GenStats = {
     var generated = 0L
     var truncated = 0L
+    // Skeletons of one row share placeholders, so each text's units are
+    // enumerated once per row.
+    val byText = scala.collection.mutable.HashMap.empty[String, Array[Int]]
     for (skeleton <- Skeletons.all(source, target)) {
-      val cands = blockCandidates(source, skeleton, cfg)
-      val sizes = cands.map(_.size.toLong)
-      val total = sizes.product
+      val cands = skeleton.blocks.iterator.map {
+        case L(t) => Array(b.intern(Literal(t)))
+        case P(t, _) =>
+          byText.getOrElseUpdate(t,
+            UnitCandidates
+              .forPlaceholder(source, t, Placeholders.occurrences(source, t), cfg.maxCandidatesPerPlaceholder)
+              .iterator.map(b.intern).toArray)
+      }.toArray
+      val total = cands.iterator.map(_.length.toLong).product
       if (total > 0) {
         val emit = math.min(total, cfg.maxTransPerRow - generated)
         if (emit < total) truncated += total - math.max(0, emit)
         if (emit > 0) {
-          // Odometer over the Cartesian product — avoids materializing it.
+          // Odometer over the Cartesian product, writing each element's
+          // canonical id sequence into `out`.
           val idx  = new Array[Int](cands.length)
+          val out  = new Array[Int](cands.length)
           var left = emit
           var done = false
           while (!done && left > 0) {
-            sink(canonical(Iterator.tabulate(cands.length)(k => cands(k)(idx(k)))))
+            var len = 0
+            var run = -1 // the literal being merged, or -1
+            var k   = 0
+            while (k < cands.length) {
+              val u = cands(k)(idx(k))
+              if (b.isLiteral(u)) run = if (run < 0) u else b.concat(run, u)
+              else {
+                if (run >= 0) { out(len) = run; len += 1; run = -1 }
+                out(len) = u
+                len += 1
+              }
+              k += 1
+            }
+            if (run >= 0) { out(len) = run; len += 1 }
+            b.add(out, len)
             generated += 1
             left -= 1
-            var k = cands.length - 1
+            k = cands.length - 1
             var carry = true
             while (carry && k >= 0) {
               idx(k) += 1
-              if (idx(k) == cands(k).size) { idx(k) = 0; k -= 1 } else carry = false
+              if (idx(k) == cands(k).length) { idx(k) = 0; k -= 1 } else carry = false
             }
             if (carry) done = true
           }
@@ -116,17 +118,14 @@ object TransformationGen {
     GenStats(generated, truncated)
   }
 
-  /** Convenience: generate + deduplicate for a whole input locally. Returns
-    * the distinct transformations and the combined counters.
+  /** The distinct candidates of [[generate]] as transformations, in order,
+    * with the combined counters.
     */
   def forPairs(
       pairs: Seq[(String, String)],
       cfg: GenConfig = GenConfig(),
   ): (Vector[Transformation], GenStats) = {
-    val seen  = scala.collection.mutable.LinkedHashSet.empty[Transformation]
-    var stats = GenStats.zero
-    for ((s, t) <- pairs)
-      stats = stats + forRow(s, t, cfg)(seen.add)
-    (seen.toVector, stats)
+    val (cands, stats) = generate(pairs, cfg)
+    (Vector.tabulate(cands.size)(cands.transformation), stats)
   }
 }

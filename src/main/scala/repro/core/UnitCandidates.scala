@@ -9,15 +9,19 @@ package repro.core
   */
 object UnitCandidates {
 
-  /** 1-based index of the split piece of `input` (split on `delims`) that
+  /** 1-based index of the split piece of `input` (split on `c`) that
     * contains character position `pos`, plus that piece's start offset.
     */
-  private def pieceAt(input: String, pos: Int, delims: Char*): (Int, Int) = {
+  private def pieceAt(input: String, pos: Int, c: Char): (Int, Int) = pieceAt(input, pos, c, c)
+
+  /** As above, splitting on every `c1` and every `c2`. */
+  private def pieceAt(input: String, pos: Int, c1: Char, c2: Char): (Int, Int) = {
     var idx   = 1
     var start = 0
     var i     = 0
     while (i < pos) {
-      if (delims.contains(input.charAt(i))) { idx += 1; start = i + 1 }
+      val ch = input.charAt(i)
+      if (ch == c1 || ch == c2) { idx += 1; start = i + 1 }
       i += 1
     }
     (idx, start)

@@ -75,21 +75,21 @@ import TransformationUnit._
 
 /** `Substr(s, e)` — the input's substring at [s, e). */
 final case class Substr(s: Int, e: Int) extends TransformationUnit {
-  override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
+  override val hashCode: Int = scala.util.hashing.MurmurHash3.caseClassHash(this)
   override def apply(input: String): Option[String] = substr(input, s, e)
   override def render: String                       = s"Substr($s,$e)"
 }
 
 /** `Split(c, i)` — the i-th (1-based) piece after splitting on `c`. */
 final case class Split(c: Char, i: Int) extends TransformationUnit {
-  override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
+  override val hashCode: Int = scala.util.hashing.MurmurHash3.caseClassHash(this)
   override def apply(input: String): Option[String] = piece(input, i, c)
   override def render: String                       = s"Split(${q(c)},$i)"
 }
 
 /** `SplitSubstr(c, i, s, e)` — Split(c, i) followed by Substr(s, e). */
 final case class SplitSubstr(c: Char, i: Int, s: Int, e: Int) extends TransformationUnit {
-  override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
+  override val hashCode: Int = scala.util.hashing.MurmurHash3.caseClassHash(this)
   override def apply(input: String): Option[String] =
     piece(input, i, c).flatMap(substr(_, s, e))
   override def render: String = s"SplitSubstr(${q(c)},$i,$s,$e)"
@@ -101,7 +101,7 @@ final case class SplitSubstr(c: Char, i: Int, s: Int, e: Int) extends Transforma
   */
 final case class TwoCharSplitSubstr(c1: Char, c2: Char, i: Int, s: Int, e: Int)
     extends TransformationUnit {
-  override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
+  override val hashCode: Int = scala.util.hashing.MurmurHash3.caseClassHash(this)
   override def apply(input: String): Option[String] =
     piece(input, i, c1, c2).flatMap(substr(_, s, e))
   override def render: String = s"TwoCharSplitSubstr(${q(c1)},${q(c2)},$i,$s,$e)"
@@ -109,7 +109,7 @@ final case class TwoCharSplitSubstr(c1: Char, c2: Char, i: Int, s: Int, e: Int)
 
 /** `Literal(str)` — emits `str` regardless of the input. */
 final case class Literal(str: String) extends TransformationUnit {
-  override val hashCode: Int = scala.util.hashing.MurmurHash3.productHash(this)
+  override val hashCode: Int = scala.util.hashing.MurmurHash3.caseClassHash(this)
   override def apply(input: String): Option[String] = Some(str)
   override def isConstant: Boolean                  = true
   override def render: String                       = s"Literal('${str.flatMap(esc)}')"

@@ -172,7 +172,7 @@ object Experiments {
       autojoin = Option.when(runs.forall(_.autojoin.isDefined))(avgM(_.autojoin.get)),
       pruning = Discovery.PruningStats(
         avgL(_.pruning.generated), avgL(_.pruning.toTry),
-        avgL(_.pruning.cacheHits), avgL(_.pruning.cacheMisses),
+        avgL(_.pruning.cacheHits), avgL(_.pruning.cacheMisses), avgL(_.pruning.truncated),
       ),
     )
   }

@@ -5,11 +5,13 @@ import repro.core._
 import repro.core.Discovery.{DiscoveryConfig, DiscoveryResult}
 
 /** [[repro.core.Discovery.discover]] with its coverage-count step on Spark:
-  * the distinct transformations are split into `numSlices` partitions (the
-  * default parallelism when 0), and each partition runs [[Coverage.counts]]
-  * over the broadcast input rows. A unit filter's verdict on a
-  * (transformation, row) depends on nothing else, so counts and counters do
-  * not depend on the partitioning; everything else is the local code.
+  * the distinct candidates and the input rows are broadcast, the candidate
+  * indices are split into `numSlices` contiguous slices (the default
+  * parallelism when 0), and each slice runs
+  * [[Coverage.CandidateFilter.counts]] over its indices. A unit filter's
+  * verdict on a (candidate, row) depends on nothing else, so counts and
+  * counters do not depend on the partitioning; everything else is the local
+  * code.
   */
 object SparkDiscovery {
 
@@ -21,14 +23,19 @@ object SparkDiscovery {
   ): DiscoveryResult = {
     val sc     = spark.sparkContext
     val slices = if (numSlices > 0) numSlices else sc.defaultParallelism
-    Discovery.discover(pairs, cfg, (distinct, rows) => {
-      val bcRows = sc.broadcast(rows)
+    Discovery.discover(pairs, cfg, filter => {
+      val n  = filter.candidates.size
+      val bc = sc.broadcast((filter.candidates, filter.rows))
       val parts =
         try
-          sc.parallelize(distinct, slices)
-            .mapPartitions(ts => Iterator(Coverage.counts(ts.toVector, bcRows.value)))
+          sc.parallelize(0 until slices, slices)
+            .map { s =>
+              val (cands, rows) = bc.value
+              new Coverage.CandidateFilter(cands, rows)
+                .counts((s.toLong * n / slices).toInt, ((s + 1).toLong * n / slices).toInt)
+            }
             .collect()
-        finally bcRows.destroy()
+        finally bc.destroy()
       (parts.flatMap(_._1), Coverage.CacheStats(parts.map(_._2.hits).sum, parts.map(_._2.misses).sum))
     })
   }
