@@ -9,8 +9,8 @@ package repro.core
   */
 final case class Transformation(units: Vector[TransformationUnit]) extends Serializable {
 
-  // Cached at construction: hash-keyed lookups (the greedy cover's row
-  // memo, callers' sets) then need no recursive re-hash.
+  // Cached at construction: hash-keyed lookups (Auto-Join's `distinct`,
+  // callers' sets and maps) then need no recursive re-hash.
   override val hashCode: Int = scala.util.hashing.MurmurHash3.caseClassHash(this)
 
   /** Applies every unit to `input` and concatenates; `None` if any unit is

@@ -49,10 +49,7 @@ object TransformationGen {
     * `generated` counts product elements, before literal merging and
     * deduplication.
     */
-  private[core] def generate(
-      pairs: Seq[(String, String)],
-      cfg: GenConfig = GenConfig(),
-  ): (Candidates, GenStats) = {
+  private[core] def generate(pairs: Seq[(String, String)], cfg: GenConfig): (Candidates, GenStats) = {
     val b     = new Candidates.Builder(distinct = true)
     var stats = GenStats.zero
     for ((s, t) <- pairs) stats = stats + forRow(b, s, t, cfg)
