@@ -30,6 +30,17 @@ final class Candidates private[core] (
     true
   }
 
+  /** Non-constant units of candidate `i` ([[Transformation.placeholderCount]]). */
+  def placeholderCount(i: Int): Int = {
+    var n = 0
+    var k = offsets(i)
+    while (k < offsets(i + 1)) {
+      if (!units(ids(k)).isConstant) n += 1
+      k += 1
+    }
+    n
+  }
+
   /** Candidate `i` as a transformation. */
   def transformation(i: Int): Transformation = {
     val from = offsets(i)
@@ -42,7 +53,7 @@ object Candidates {
   /** The transformations `ts`, in order and with any repeats, over their
     * interned units.
     */
-  private[core] def of(ts: IndexedSeq[Transformation]): Candidates = {
+  def of(ts: IndexedSeq[Transformation]): Candidates = {
     val b = new Builder(distinct = false)
     var s = new Array[Int](8)
     for (t <- ts) {

@@ -27,11 +27,10 @@ object CoverSet {
       .orElseBy(_._1.placeholderCount)
       .orElseBy(_._1.render)
 
-  /** Greedy cover. `candidates` pair each transformation with the number of
-    * rows it covers over an input of `nRows` rows, and `covered` gives its
-    * covered row indices; `minSupportRows` drops transformations with too
-    * little support (the paper's support threshold, §6.4 uses 1% on Open
-    * data; §5.3 argues at least two supporting rows).
+  /** Greedy cover over the candidates `heap` of `cands`: candidate `i`
+    * covers `rowCounts(i)` of the input's `nRows` rows, listed by
+    * `covered(i)`. Every candidate of `heap` competes, so the caller applies
+    * the support floor (§5.3; §6.4 uses 1% on Open data).
     *
     * Lazy greedy (Minoux 1978): a candidate's row count bounds its marginal
     * gain, so candidates wait in a heap on that bound, and only the top ones
@@ -42,57 +41,51 @@ object CoverSet {
     * rendering order while their gain still equals the bound. The result is
     * the naive greedy's cover under [[order]], but `covered` runs only for
     * candidates that reach the top, and only those that still hold their
-    * bound there are rendered.
+    * bound there become transformations, to be rendered.
     */
   def greedy(
-      candidates: Seq[(Transformation, Int)],
-      nRows: Int,
-      minSupportRows: Int = 2,
-  )(covered: Transformation => Array[Int]): Vector[Chosen] = {
-    val cands = candidates.filter(_._2 >= math.max(1, minSupportRows)).toVector
-    greedyByIndex(cands.map(_._1).toArray, cands.map(_._2).toArray, nRows)(i => covered(cands(i)._1))
-  }
-
-  /** [[greedy]] over candidates named by index: `ts(i)` covers `rowCounts(i)`
-    * rows, listed by `covered(i)`. Every candidate enters the heap, so the
-    * caller applies the support floor.
-    */
-  private[core] def greedyByIndex(
-      ts: Array[Transformation],
+      cands: Candidates,
+      heap: Array[Int],
       rowCounts: Array[Int],
       nRows: Int,
   )(covered: Int => Array[Int]): Vector[Chosen] = {
-    val bound  = rowCounts.clone()
-    val places = Array.tabulate(ts.length)(ts(_).placeholderCount)
-    val rowsOf = new Array[Array[Int]](ts.length)
-    def rows(i: Int): Array[Int] = {
-      if (rowsOf(i) == null) rowsOf(i) = covered(i)
-      rowsOf(i)
+    // Indexed by heap position.
+    val bound  = heap.map(rowCounts(_))
+    val places = heap.map(cands.placeholderCount)
+    val rowsOf = new Array[Array[Int]](heap.length)
+    val ts     = new Array[Transformation](heap.length)
+    def rows(k: Int): Array[Int] = {
+      if (rowsOf(k) == null) rowsOf(k) = covered(heap(k))
+      rowsOf(k)
     }
-    val heap = new java.util.PriorityQueue[Integer](math.max(1, ts.length), (a: Integer, b: Integer) =>
+    def t(k: Int): Transformation = {
+      if (ts(k) == null) ts(k) = cands.transformation(heap(k))
+      ts(k)
+    }
+    val queue = new java.util.PriorityQueue[Integer](math.max(1, heap.length), (a: Integer, b: Integer) =>
       if (bound(a) != bound(b)) Integer.compare(bound(b), bound(a)) else Integer.compare(places(a), places(b)))
-    ts.indices.foreach(heap.add(_))
+    heap.indices.foreach(queue.add(_))
     val uncovered = new java.util.BitSet(nRows)
     uncovered.set(0, nRows)
-    def gain(i: Int) = rows(i).count(uncovered.get)
+    def gain(k: Int) = rows(k).count(uncovered.get)
     val chosen = Vector.newBuilder[Chosen]
-    while (!heap.isEmpty && !uncovered.isEmpty) {
-      val top  = heap.poll().intValue
+    while (!queue.isEmpty && !uncovered.isEmpty) {
+      val top  = queue.poll().intValue
       val tied = mutable.ArrayBuffer(top)
-      while (!heap.isEmpty && bound(heap.peek) == bound(top) && places(heap.peek) == places(top))
-        tied += heap.poll().intValue
+      while (!queue.isEmpty && bound(queue.peek) == bound(top) && places(queue.peek) == places(top))
+        tied += queue.poll().intValue
       val holding = mutable.ArrayBuffer.empty[Int]
-      for (i <- tied) {
-        val g = gain(i)
-        if (g == bound(i)) holding += i
-        else if (g > 0) { bound(i) = g; heap.add(i) }
+      for (k <- tied) {
+        val g = gain(k)
+        if (g == bound(k)) holding += k
+        else if (g > 0) { bound(k) = g; queue.add(k) }
       }
-      for (i <- holding.sortBy(ts(_).render)) {
-        val g = gain(i)
-        if (g == bound(i)) {
-          chosen += Chosen(ts(i), rows(i), g)
-          rows(i).foreach(uncovered.clear)
-        } else if (g > 0) { bound(i) = g; heap.add(i) }
+      for (k <- holding.sortBy(t(_).render)) {
+        val g = gain(k)
+        if (g == bound(k)) {
+          chosen += Chosen(t(k), rows(k), g)
+          rows(k).foreach(uncovered.clear)
+        } else if (g > 0) { bound(k) = g; queue.add(k) }
       }
     }
     chosen.result()

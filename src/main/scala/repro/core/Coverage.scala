@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.{ConcurrentHashMap, ForkJoinTask}
+import java.util.concurrent.ForkJoinTask
 import java.util.stream.IntStream
 
 /** Coverage computation with the paper's unit-level filtering (§4.1.5).
@@ -155,23 +155,6 @@ object Coverage {
       prepare(c, c + 1)
       val out = Array.newBuilder[Int]
       scan(unitRows(c), rows)(out += _)
-      out.result()
-    }
-  }
-
-  /** The unit filter for single transformations over `rows`: each unit's
-    * entry is computed on first use and memoised. Safe to share between
-    * threads.
-    */
-  final class UnitFilter(rows: Array[RowState]) {
-    private val memo = new ConcurrentHashMap[TransformationUnit, UnitRows]()
-    private val eval: java.util.function.Function[TransformationUnit, UnitRows] = evaluate(_, rows)
-
-    /** The row indices that `t` covers, in order. */
-    def covered(t: Transformation): Array[Int] = {
-      val us  = t.units.iterator.map(memo.computeIfAbsent(_, eval)).toArray
-      val out = Array.newBuilder[Int]
-      scan(us, rows)(out += _)
       out.result()
     }
   }

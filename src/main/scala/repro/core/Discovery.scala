@@ -74,22 +74,15 @@ object Discovery {
     val (cands, gen) = TransformationGen.generate(pairs, cfg.gen)
     val filter       = new Coverage.CandidateFilter(cands, Coverage.rowStates(pairs))
     val (counts, cs) = count(filter)
-    // Pure-literal transformations are degenerate (they cover a row only by
-    // matching its exact target, §5.3) and are excluded from both the top
-    // answer and the cover set.
-    val ranked = Array.range(0, cands.size).filter(i => counts(i) >= 1 && !cands.isConstant(i))
-    select(
-      pairs.size, ranked, counts(_), cands.transformation, filter.covered,
-      PruningStats(gen.generated, cands.size.toLong, cs.hits, cs.misses, gen.truncated),
-      cfg, t0,
-    )
+    select(filter, counts, PruningStats(gen.generated, cands.size.toLong, cs.hits, cs.misses, gen.truncated), cfg, t0)
   }
 
-  /** The tail of [[discover]]. `ranked` holds every non-constant
-    * transformation with coverage count >= 1 (any order) and `rows` the input
-    * rows: picks the top transformation and the greedy cover over every
-    * candidate at or above the support floor. `cacheStats` is unused; the
-    * counters arrive in `stats`.
+  /** [[discover]]'s selection over transformations already generated and
+    * counted. `ranked` holds every non-constant transformation with
+    * coverage count >= 1 (any order) and `rows` the `nRows` input rows.
+    * Only the entries [[select]] can use are interned: those at or above
+    * the support floor, or at the largest count. `cacheStats` is unused;
+    * the counters arrive in `stats`.
     */
   private[repro] def finish(
       nRows: Int,
@@ -100,39 +93,45 @@ object Discovery {
       cfg: DiscoveryConfig,
       t0: Long,
   ): DiscoveryResult = {
-    val filter = new Coverage.UnitFilter(rows)
-    select(
-      nRows, ranked.indices.toArray, ranked(_)._2, ranked(_)._1, i => filter.covered(ranked(i)._1),
-      stats, cfg, t0,
-    )
+    require(rows.length == nRows, s"${rows.length} rows for nRows = $nRows")
+    val most   = ranked.foldLeft(0)((m, r) => math.max(m, r._2))
+    val used   = ranked.filter(_._2 >= math.min(supportFloor(cfg, nRows), most))
+    val filter = new Coverage.CandidateFilter(Candidates.of(used.map(_._1)), rows)
+    select(filter, used.map(_._2).toArray, stats, cfg, t0)
   }
 
+  /** The least row count of a cover-set candidate: `minSupportRows`, or the
+    * `supportThreshold` fraction of the rows if larger, and at least 1.
+    */
+  private def supportFloor(cfg: DiscoveryConfig, nRows: Int): Int =
+    math.max(1, math.max(cfg.minSupportRows, math.ceil(cfg.supportThreshold * nRows).toInt))
+
   /** Picks the top transformation and the greedy cover among the candidates
-    * `ranked`, given each one's row count, transformation and covered rows.
-    * `CoverSet.order` ranks more rows first, so the top answer is among the
-    * candidates at the largest count, and the greedy needs only those at or
-    * above the support floor: only these are turned into transformations.
+    * of `filter`, given each one's row count in `counts`. Pure-literal
+    * candidates are degenerate (they cover a row only by matching its exact
+    * target, §5.3) and are excluded from both. `CoverSet.order` ranks more
+    * rows first, so the top answer is among the candidates at the largest
+    * count, and only those become transformations here; the greedy takes
+    * every candidate at or above the support floor.
     */
   private def select(
-      nRows: Int,
-      ranked: Array[Int],
-      count: Int => Int,
-      transformation: Int => Transformation,
-      covered: Int => Array[Int],
+      filter: Coverage.CandidateFilter,
+      counts: Array[Int],
       stats: PruningStats,
       cfg: DiscoveryConfig,
       t0: Long,
   ): DiscoveryResult = {
-    val supportFloor =
-      math.max(cfg.minSupportRows, math.ceil(cfg.supportThreshold * nRows).toInt)
-    val heap  = ranked.filter(count(_) >= math.max(1, supportFloor))
-    val cover = CoverSet.greedyByIndex(heap.map(transformation), heap.map(count), nRows)(k => covered(heap(k)))
-    val most  = ranked.foldLeft(0)((m, i) => math.max(m, count(i)))
+    val cands  = filter.candidates
+    val nRows  = filter.rows.length
+    val ranked = Array.range(0, cands.size).filter(i => counts(i) >= 1 && !cands.isConstant(i))
+    val floor  = supportFloor(cfg, nRows)
+    val cover  = CoverSet.greedy(cands, ranked.filter(counts(_) >= floor), counts, nRows)(filter.covered)
+    val most   = ranked.foldLeft(0)((m, i) => math.max(m, counts(i)))
     DiscoveryResult(
       nRows = nRows,
       // The single best transformation is reported even when it falls below
       // the cover-set support floor (it is still the max-coverage answer).
-      top = ranked.filter(count(_) == most).map(i => (transformation(i), most)).minOption(CoverSet.order),
+      top = ranked.filter(counts(_) == most).map(i => (cands.transformation(i), most)).minOption(CoverSet.order),
       coverSet = cover,
       stats = stats,
       elapsedMs = (System.nanoTime() - t0) / 1000000L,

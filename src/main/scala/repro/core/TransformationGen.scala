@@ -14,8 +14,10 @@ object TransformationGen {
   /** The generation caps. The paper's setup (§6.2) is fixed elsewhere: at
     * most [[Skeletons.MaxPlaceholders]] placeholders per transformation, and
     * no TwoCharSplitSubstr in [[UnitCandidates.forPlaceholder]]. These caps
-    * are safety bounds for adversarial rows and are counted in
-    * [[GenStats.truncated]] when hit.
+    * are safety bounds for adversarial rows. Only `maxTransPerRow` counts
+    * what it cuts, in [[GenStats.truncated]]; the units that
+    * `maxCandidatesPerPlaceholder` cuts, like the skeletons that
+    * [[Skeletons.MaxSkeletons]] cuts, are not counted anywhere.
     */
   final case class GenConfig(
       /** Candidate units per placeholder. The paper's per-row generation

@@ -2,7 +2,7 @@ package repro.experiments
 
 import repro.autojoin.AutoJoin
 import repro.autojoin.AutoJoin.AutoJoinConfig
-import repro.core.{Coverage, CoverSet, Discovery, Transformation}
+import repro.core.{Candidates, Coverage, CoverSet, Discovery, Transformation}
 import repro.core.Discovery.DiscoveryConfig
 import repro.core.TransformationGen.GenConfig
 import repro.data._
@@ -126,9 +126,10 @@ object Experiments {
   def runDataset(ds: JoinDataset, mode: Matching, set: EvalSet, scale: Scale): DatasetRun = {
     val pairs  = matched(ds, mode, set.sampleCap)
     val gold   = ds.goldPairStrings
-    val filter = new Coverage.UnitFilter(Coverage.rowStates(gold))
-    def goldCoverage(ts: Seq[Transformation]): (Double, Double) = {
-      val covered = ts.map(filter.covered)
+    val rows   = Coverage.rowStates(gold)
+    def goldCoverage(ts: Vector[Transformation]): (Double, Double) = {
+      val filter  = new Coverage.CandidateFilter(Candidates.of(ts), rows)
+      val covered = ts.indices.map(filter.covered)
       val n       = math.max(1, gold.size).toDouble
       (covered.map(_.length).maxOption.getOrElse(0) / n,
         CoverSet.unionCoverage(covered, gold.size) / n)

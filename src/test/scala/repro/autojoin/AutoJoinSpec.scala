@@ -70,8 +70,8 @@ class AutoJoinSpec extends SparkSpec {
       ("walker, james", "j walker"),
     )
     val res     = AutoJoin.run(pairs)
-    val filter  = new Coverage.UnitFilter(Coverage.rowStates(pairs))
-    val covered = res.transformations.map(filter.covered)
+    val filter  = new Coverage.CandidateFilter(Candidates.of(res.transformations), Coverage.rowStates(pairs))
+    val covered = res.transformations.indices.map(filter.covered)
     assert(covered.map(_.length).max == 4) // one rule generates all rows
     assert(CoverSet.unionCoverage(covered, 4) == 4)
     assert(!res.budgetExhausted)

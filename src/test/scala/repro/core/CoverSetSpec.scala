@@ -8,15 +8,17 @@ class CoverSetSpec extends SparkSpec with PropHelper {
 
   private def t(tag: String) = Transformation(Literal(tag))
 
-  /** The lazy greedy over explicit covered-row sets. */
+  /** The lazy greedy over explicit covered-row sets, with every candidate
+    * of at least `minSupportRows` rows in the heap.
+    */
   private def greedy(
       cands: Vector[(Transformation, Array[Int])],
       nRows: Int,
       minSupportRows: Int = 2,
-  ): Vector[CoverSet.Chosen] =
-    CoverSet.greedy(cands.map { case (t, rows) => (t, rows.length) }, nRows, minSupportRows)(
-      cands.toMap
-    )
+  ): Vector[CoverSet.Chosen] = {
+    val heap = cands.indices.filter(cands(_)._2.length >= math.max(1, minSupportRows)).toArray
+    CoverSet.greedy(Candidates.of(cands.map(_._1)), heap, cands.map(_._2.length).toArray, nRows)(cands(_)._2)
+  }
 
   /** Reference: the naive greedy, recomputing every candidate's marginal
     * gain at every step. Returns (transformation, marginal gain) in
@@ -73,16 +75,6 @@ class CoverSetSpec extends SparkSpec with PropHelper {
     assert(cover.size <= 3)
   }
 
-  test("minSupportRows filters low-support transformations") {
-    val cands = Vector(
-      (t("a"), Array(0, 1, 2)),
-      (t("b"), Array(3)), // support 1 < 2
-    )
-    val cover = greedy(cands, 4, minSupportRows = 2)
-    assert(cover.map(_.t) == Vector(t("a")))
-    assert(CoverSet.unionCoverage(cover.map(_.covered), 4) == 3)
-  }
-
   test("marginal gains are recorded in selection order") {
     val cands = Vector(
       (t("a"), Array(0, 1, 2, 3)),
@@ -121,9 +113,9 @@ class CoverSetSpec extends SparkSpec with PropHelper {
     val cands = Vector((t("a"), Array(0, 1, 2, 3, 4, 5)), (t("b"), Array(6, 7))) ++
       Vector.tabulate(50)(i => (t(s"x$i"), Array(i % 6)))
     val asked = scala.collection.mutable.ArrayBuffer.empty[Transformation]
-    val rows  = cands.toMap
-    val cover =
-      CoverSet.greedy(cands.map { case (t, r) => (t, r.length) }, 8, 1) { t => asked += t; rows(t) }
+    val cover = CoverSet.greedy(Candidates.of(cands.map(_._1)), cands.indices.toArray, cands.map(_._2.length).toArray, 8) {
+      i => asked += cands(i)._1; cands(i)._2
+    }
     assert(cover.map(_.t) == Vector(t("a"), t("b")))
     assert(asked == Seq(t("a"), t("b")))
   }

@@ -1,7 +1,6 @@
 package repro.core
 
 import java.util.concurrent.ForkJoinPool
-import java.util.stream.IntStream
 import org.scalacheck.Gen
 import repro.{PropHelper, SparkSpec}
 
@@ -63,8 +62,8 @@ class CoverageSpec extends SparkSpec with PropHelper {
       val perm              = new scala.util.Random(seed).shuffle(ts.indices.toVector)
       val (permCov, permSt) = counts(perm.map(ts), rows)
       assert(perm.map(cov(_)) == permCov.toSeq && permSt == stats)
-      val filter = new UnitFilter(rows)
-      for (i <- perm) assert(filter.covered(ts(i)).toSeq == naive(i), ts(i))
+      val filter = new CandidateFilter(Candidates.of(ts), rows)
+      for (i <- perm) assert(filter.covered(i).toSeq == naive(i), ts(i))
     }
   }
 
@@ -83,12 +82,13 @@ class CoverageSpec extends SparkSpec with PropHelper {
   }
 
   test("covered returns the exact row index set, on warm and cold caches") {
-    val rows = rowStates(pairs)
-    val warm = new UnitFilter(rows)
-    TransformationGen.forPairs(pairs)._1.foreach(warm.covered)
-    for (filter <- Seq(warm, new UnitFilter(rows))) {
-      assert(filter.covered(tInitial).toSeq == Seq(0, 1, 2))
-      assert(filter.covered(tFirst).toSeq == Seq(3))
+    val rows  = rowStates(pairs)
+    val cands = Candidates.of(TransformationGen.forPairs(pairs)._1 ++ Vector(tInitial, tFirst))
+    val warm  = new CandidateFilter(cands, rows)
+    warm.counts()
+    for (filter <- Seq(warm, new CandidateFilter(cands, rows))) {
+      assert(filter.covered(cands.size - 2).toSeq == Seq(0, 1, 2))
+      assert(filter.covered(cands.size - 1).toSeq == Seq(3))
     }
   }
 
@@ -98,16 +98,14 @@ class CoverageSpec extends SparkSpec with PropHelper {
         val rows = rowStates(pairs)
         val ts   = TransformationGen.forPairs(pairs)._1
         val perm = new scala.util.Random(seed).shuffle(ts.indices.toVector)
-        // Both orders counted, and every covered set taken concurrently
-        // from one shared filter.
+        // Both orders counted, and every covered set taken from a cold
+        // filter, whose units are evaluated on the pool.
         def run(pool: ForkJoinPool) = onPool(pool) {
           val (cov, stats)         = counts(ts, rows)
           val (permCov, permStats) = counts(perm.map(ts), rows)
-          val filter               = new UnitFilter(rows)
+          val filter               = new CandidateFilter(Candidates.of(ts), rows)
           val covered              = new Array[Seq[Int]](ts.size)
-          IntStream.range(0, ts.size).parallel().forEach { i =>
-            covered(perm(i)) = filter.covered(ts(perm(i))).toSeq
-          }
+          for (i <- perm) covered(i) = filter.covered(i).toSeq
           (cov.toSeq, stats, permCov.toSeq, permStats, covered.toSeq)
         }
         val (cov, stats, permCov, permStats, covered) = run(one)
@@ -139,9 +137,9 @@ class CoverageSpec extends SparkSpec with PropHelper {
     forAllSampled(gen, samples = 200) { pairs =>
       val rows   = rowStates(pairs)
       val ts     = TransformationGen.forPairs(pairs)._1 ++ cuts
-      val filter = new UnitFilter(rows)
+      val filter = new CandidateFilter(Candidates.of(ts), rows)
       val recount = ts.map(t => rows.indices.filter(ri => t.apply(rows(ri).src).contains(rows(ri).tgt)))
-      for ((t, expected) <- ts.zip(recount)) assert(filter.covered(t).toSeq == expected, t)
+      for (i <- ts.indices) assert(filter.covered(i).toSeq == recount(i), ts(i))
       assert(counts(ts, rows)._1.toSeq == recount.map(_.size))
     }
   }

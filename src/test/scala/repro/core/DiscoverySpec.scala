@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalacheck.Gen
 import repro.{PropHelper, SparkSpec}
+import repro.data.SynthJoin
 import Discovery._
 
 /** End-to-end local discovery (paper §4.1): the Figure-1 scenarios and the
@@ -92,6 +93,16 @@ class DiscoverySpec extends SparkSpec with PropHelper {
     assert(res.setCoverage >= 0.9)
   }
 
+  test("minSupportRows filters low-support transformations") {
+    // The comma rows share Split(',', 2); rules that reverse "xyz" cover no
+    // other row, so they have support 1.
+    val pairs = Seq(("al,aa", "aa"), ("bet,bb", "bb"), ("gamm,cc", "cc"), ("xyz", "zyx"))
+    val floored = discover(pairs, DiscoveryConfig(minSupportRows = 2))
+    assert(floored.coverSet.nonEmpty && floored.coverSet.forall(_.covered.length >= 2))
+    assert(CoverSet.unionCoverage(floored.coverSet.map(_.covered), 4) == 3)
+    assert(discover(pairs, DiscoveryConfig(minSupportRows = 1)).setCoverage == 1.0)
+  }
+
   test("pruning stats are populated and consistent") {
     val res = discover(nameToAbbrev)
     val s   = res.stats
@@ -132,6 +143,34 @@ class DiscoverySpec extends SparkSpec with PropHelper {
     val res   = discover(train)
     val holdout = ("walker, james", "j walker")
     assert(res.transformations.exists(_.covers(holdout._1, holdout._2)))
+  }
+
+  /** [[finish]] over the transformations of `pairs` as generated by
+    * `TransformationGen.forPairs` and counted by `Coverage.counts`.
+    */
+  private def viaFinish(pairs: Seq[(String, String)], cfg: DiscoveryConfig): DiscoveryResult = {
+    val (ts, gen)    = TransformationGen.forPairs(pairs, cfg.gen)
+    val rows         = Coverage.rowStates(pairs)
+    val (counts, cs) = Coverage.counts(ts, rows)
+    val ranked       = ts.indices.filter(i => counts(i) >= 1 && !ts(i).isConstant).map(i => (ts(i), counts(i))).toVector
+    val stats        = PruningStats(gen.generated, ts.size.toLong, cs.hits, cs.misses, gen.truncated)
+    finish(pairs.size, ranked, cs, rows, stats, cfg, System.nanoTime())
+  }
+
+  test("finish over counted transformations equals discover (property)") {
+    // The 0.9 threshold puts the floor above most largest counts, where
+    // only the top answer remains.
+    val cfgs = Seq(DiscoveryConfig(), DiscoveryConfig(minSupportRows = 1), DiscoveryConfig(supportThreshold = 0.9))
+    def same(pairs: Seq[(String, String)]): Unit = for (cfg <- cfgs) {
+      val a = discover(pairs, cfg)
+      val b = viaFinish(pairs, cfg)
+      def cover(r: DiscoveryResult) = r.coverSet.map(c => (c.t, c.covered.toSeq, c.marginalGain))
+      assert(b.top == a.top, cfg)
+      assert(cover(b) == cover(a), cfg)
+      assert(b.stats == a.stats, cfg)
+    }
+    forAllSampled(DiscoverySpec.smallInputs, samples = 30)(same)
+    same(SynthJoin.synth(50, 1L).goldPairStrings)
   }
 
   test("results do not depend on the order of the input rows (property)") {

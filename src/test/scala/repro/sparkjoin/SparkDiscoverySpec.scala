@@ -2,7 +2,6 @@ package repro.sparkjoin
 
 import repro.{PropHelper, SparkSpec}
 import repro.core.{Discovery, DiscoverySpec}
-import repro.core.Discovery.DiscoveryConfig
 import repro.data.SynthJoin
 
 /** Parity of the Spark-parallelized discovery with the local algorithm. */
